@@ -174,6 +174,7 @@ LogFile::LogArena* LogFile::ReserveLocked(size_t frame_size,
                                           audit::UniqueLock& lk) {
   for (;;) {
     LogArena* a = active_.get();
+    SkipSectorTailLocked(a);
     const bool valve = a->reserved >= options_.max_buffer_bytes;
     if (!valve && a->reserved + frame_size <= a->data.size()) {
       return a;
@@ -209,6 +210,21 @@ LogFile::LogArena* LogFile::ReserveLocked(size_t frame_size,
     InstallFreshActiveLocked(
         filled_.back()->base + filled_.back()->padded_bytes, frame_size);
   }
+}
+
+void LogFile::SkipSectorTailLocked(LogArena* a) {
+  // The arena base is sector-aligned, so the arena offset gives the
+  // position within the sector.
+  const size_t left = sector_bytes_ - a->reserved % sector_bytes_;
+  if (left >= kFrameHeaderBytes) return;
+  std::fill(a->data.begin() + static_cast<ptrdiff_t>(a->reserved),
+            a->data.begin() + static_cast<ptrdiff_t>(a->reserved + left),
+            '\0');
+  a->reserved += left;
+  // Nobody encodes into the skipped bytes, so commit them here; the arena
+  // is active (unsealed) and mu_ is held, so no drain waits on this add.
+  a->committed.fetch_add(left, std::memory_order_seq_cst);
+  env_->stats().disk_bytes_wasted.fetch_add(left);
 }
 
 void LogFile::SealActiveLocked() {

@@ -8,6 +8,14 @@
 // half a sector is wasted on every flush"). A zero length prefix marks
 // padding: readers skip to the next sector boundary.
 //
+// Sector-tail rule: no frame starts in the last 7 bytes of a sector (fewer
+// than a frame header's 8), and readers skip to the next sector boundary
+// whenever fewer than 8 bytes remain in the current one. Such a tail is too
+// short to hold a zero length prefix, so without the rule a flush that
+// padded only 1-3 bytes would make the reader take the next sector's frame
+// header as a length. Appenders zero the tail and count it as waste, which
+// keeps each flush's waste below one sector.
+//
 // An LSN is the byte offset of a record's frame in the log file. Because
 // flushes insert padding, LSNs are not dense, but they are strictly
 // monotonic, which is all the dependency-vector machinery needs.
@@ -206,6 +214,8 @@ class LogFile {
   /// needed. `lk` is the caller's lock on mu_.
   LogArena* ReserveLocked(size_t frame_size, audit::UniqueLock& lk)
       REQUIRES(mu_);
+  /// Apply the sector-tail rule to the active arena before a reservation.
+  void SkipSectorTailLocked(LogArena* a) REQUIRES(mu_);
   void SealActiveLocked() REQUIRES(mu_);
   void InstallFreshActiveLocked(uint64_t base, size_t min_bytes)
       REQUIRES(mu_);

@@ -29,6 +29,10 @@ Status LogScanner::FillTo(uint64_t end) {
 
 Status LogScanner::Next(LogRecord* out) {
   while (true) {
+    if (sector_bytes_ - pos_ % sector_bytes_ < 8) {
+      // Sector-tail rule (log_file.h): no frame starts here.
+      pos_ = (pos_ / sector_bytes_ + 1) * sector_bytes_;
+    }
     if (pos_ + 8 > durable_size_) return Status::NotFound("end of log");
     MSPLOG_RETURN_IF_ERROR(FillTo(pos_ + 8));
     if (chunk_.size() < pos_ - chunk_base_ + 8) {

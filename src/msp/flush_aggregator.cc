@@ -325,16 +325,6 @@ void FlushAggregator::Reset() {
   flights_.clear();
 }
 
-std::optional<StateId> FlushAggregator::WatermarkForTest(
-    const MspId& peer) const {
-  audit::LockGuard lk(mu_);
-  auto it = peers_.find(peer);
-  if (it == peers_.end() || it->second.watermark == StateId{}) {
-    return std::nullopt;
-  }
-  return it->second.watermark;
-}
-
 size_t FlushAggregator::InFlightForTest() const {
   audit::LockGuard lk(mu_);
   return flights_.size();

@@ -39,7 +39,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -129,8 +128,6 @@ class FlushAggregator {
   /// any legs are still registered).
   void Reset();
 
-  /// Highest (epoch, sn) known durable at `peer`, if any.
-  std::optional<StateId> WatermarkForTest(const MspId& peer) const;
   size_t InFlightForTest() const;
   /// Unsettled legs held by the aggregator (joined + queued).
   size_t WaiterCountForTest() const;

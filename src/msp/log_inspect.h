@@ -39,6 +39,8 @@ struct LogInspectOptions {
 ///   * session checkpoint blobs decode;
 ///   * MSP checkpoint blobs decode and imply a scan start at or before
 ///     themselves;
+///   * a corrupt frame is the end of the log: no later sector boundary
+///     holds a valid frame (otherwise the scan stopped at a mid-log tear);
 ///   * the first surviving record sits at or before the newest MSP
 ///     checkpoint's min-recovery LSN — reclamation (hole punch) and
 ///     archiving both stop strictly below that position, so a first record
@@ -62,7 +64,7 @@ struct LogInspectReport {
   uint64_t archive_segments = 0;
   /// The scan hit a corrupt frame (CRC mismatch / truncated frame) and
   /// stopped there. A torn tail is normal after a crash, so it is reported
-  /// separately rather than as a violation.
+  /// separately; it is a violation only when valid frames follow it.
   bool torn_tail = false;
   uint64_t torn_tail_lsn = 0;
   std::vector<std::string> invariant_violations;

@@ -14,6 +14,10 @@
 namespace msplog {
 
 namespace {
+/// Sends of one outgoing call (and rounds of one distributed-flush leg)
+/// before it gives up.
+constexpr uint32_t kMaxCallSends = 200;
+
 std::string PosFileName(const std::string& msp, const std::string& session) {
   return "pos/" + msp + "/" + session;
 }
@@ -45,7 +49,7 @@ Msp::Msp(SimEnvironment* env, SimNetwork* network, SimDisk* disk,
   FlushAggregator::Options fopt;
   fopt.self = config_.id;
   fopt.coalesce = config_.coalesce_distributed_flushes;
-  fopt.max_rounds = config_.max_call_sends;
+  fopt.max_rounds = kMaxCallSends;
   flush_agg_ = std::make_unique<FlushAggregator>(
       env_, fopt, [this](const MspId& peer, const Bytes& wire) {
         network_->Send(config_.id, peer, wire);
@@ -197,10 +201,10 @@ void Msp::CrashLocked(bool is_crash) {
     // recovery-side join can tell this fault from earlier ones.
     const uint64_t gen = crash_generation_.fetch_add(1) + 1;
     gauge_crash_generation_->Set(static_cast<int64_t>(gen));
-    env_->flight_recorder().Record(
-        obs::FlightEventType::kCrash, config_.id, "", 0,
-        "epoch=" + std::to_string(epoch_.load()) +
-            " gen=" + std::to_string(gen));
+    env_->tracer().Record(obs::TraceEventType::kCrash, env_->NowModelMs(),
+                          config_.id, "", 0,
+                          "epoch=" + std::to_string(epoch_.load()) +
+                              " gen=" + std::to_string(gen));
     env_->flight_recorder().FreezeOnCrash(config_.id, gen);
     env_->scraper().AnnotateEpoch(
         env_->NowModelMs(),
@@ -446,8 +450,6 @@ void Msp::SessionWorker(std::shared_ptr<Session> s) {
       hist_queue_wait_ms_->Record(t_start - enqueue_ms);
       env_->tracer().Record(obs::TraceEventType::kDequeue, t_start, config_.id,
                             s->id, m.seqno, m.method, span);
-      env_->flight_recorder().Record(obs::FlightEventType::kRequest,
-                                     config_.id, s->id, m.seqno, m.method);
       ProcessRequest(s, m, span);
       hist_request_ms_->Record(env_->NowModelMs() - t_start);
       ctr_requests_->Add(1);
@@ -611,7 +613,6 @@ Status Msp::ProcessRequestLogBased(Session* s, const Message& m,
     if (cst.IsOrphan()) return RecoverSessionReplay(s);
   }
 
-  if (after_request_hook_) after_request_hook_(this, s->id, m.seqno);
   return Status::OK();
 }
 
@@ -621,7 +622,6 @@ Status Msp::InvokeMethod(const std::string& method, ExecContext* ctx,
   if (it == methods_.end()) {
     return Status::InvalidArgument("no such method: " + method);
   }
-  if (config_.method_overhead_ms > 0) ctx->Compute(config_.method_overhead_ms);
   return it->second(ctx, arg, result);
 }
 
@@ -700,9 +700,6 @@ uint64_t Msp::AppendSessionRecord(Session* s, LogRecord rec) {
   s->dv.Set(config_.id, StateId{epoch_.load(), lsn});
   s->bytes_logged_since_cp += framed;
   s->stats.OnLogAppend(framed);
-  env_->flight_recorder().Record(
-      obs::FlightEventType::kDvUpdate, config_.id, s->id, rec.seqno,
-      "lsn=" + std::to_string(lsn) + " epoch=" + std::to_string(epoch_.load()));
   return lsn;
 }
 
@@ -925,7 +922,7 @@ Status Msp::UndoSharedVariable(SharedVariable* var) {
 Status Msp::CallRoundTrip(const std::string& dest, const Message& req,
                           bool check_orphan_reply, Message* out,
                           uint32_t max_sends, const Bytes* dv_wire) {
-  if (max_sends == 0) max_sends = config_.max_call_sends;
+  if (max_sends == 0) max_sends = kMaxCallSends;
   // Encoded once, resent verbatim on loss. `dv_wire`, when set, splices the
   // caller's pre-encoded DV (zero-copy piggybacking).
   Bytes wire;
@@ -1111,11 +1108,6 @@ Status Msp::DistributedFlush(const DependencyVector& dv,
   Status st = DistributedFlushImpl(dv, fspan);
   double t1 = env_->NowModelMs();
   hist_flush_wait_ms_->Record(t1 - t0);
-  env_->flight_recorder().Record(
-      obs::FlightEventType::kFlushLeg, config_.id,
-      stats_session ? stats_session->id : "", 0,
-      "dv_entries=" + std::to_string(dv.entry_count()) +
-          (st.ok() ? "" : " " + st.ToString()));
   if (stats_session) {
     stats_session->stats.OnForcedFlush();
     stats_session->stats.OnFlushStall(t1 - t0);
@@ -1440,7 +1432,6 @@ Status Msp::ProcessRequestBaseline(Session* s, const Message& m,
     MSPLOG_RETURN_IF_ERROR(StoreBaselineState(s));
   }
   MSPLOG_RETURN_IF_ERROR(SendReply(s, code, payload, m.seqno, span));
-  if (after_request_hook_) after_request_hook_(this, s->id, m.seqno);
   return Status::OK();
 }
 

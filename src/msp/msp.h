@@ -114,31 +114,10 @@ class Msp {
 
   // ---- explicit checkpoint triggers (also driven by the daemon) ----
   /// Force a checkpoint of `target` now: the whole MSP (fuzzy, §3.4), one
-  /// session, or one shared variable. The typed target replaces the former
-  /// ForceMspCheckpoint / ForceSessionCheckpoint / ForceSharedVarCheckpoint
-  /// triple.
+  /// session, or one shared variable.
   Status ForceCheckpoint(const CheckpointTarget& target);
 
-  /// Deprecated: thin wrappers over ForceCheckpoint(CheckpointTarget); use
-  /// the typed entry point in new code.
-  Status ForceMspCheckpoint() {
-    return ForceCheckpoint(CheckpointTarget::Msp());
-  }
-  Status ForceSessionCheckpoint(const std::string& session_id) {
-    return ForceCheckpoint(CheckpointTarget::Session(session_id));
-  }
-  Status ForceSharedVarCheckpoint(const std::string& name) {
-    return ForceCheckpoint(CheckpointTarget::SharedVar(name));
-  }
-
   // ---- crash-injection & instrumentation hooks ----
-  /// Invoked after each successfully processed request (not during replay).
-  using RequestHook =
-      std::function<void(Msp*, const std::string& session_id, uint64_t seqno)>;
-  void SetAfterRequestHook(RequestHook hook) {
-    after_request_hook_ = std::move(hook);
-  }
-
   /// Test hook for the protocol auditor: silently lower `session_id`'s own
   /// DV entry, simulating a dependency-dropping bug. The dv-monotonic
   /// invariant check must trip on the session's next request.
@@ -421,8 +400,6 @@ class Msp {
   /// msp_cp_mu_ (and in Start before threads exist) but read by the
   /// checkpoint daemon's staleness test without any lock.
   std::atomic<uint64_t> last_msp_cp_log_end_{0};
-  /// Test instrumentation, installed before Start().
-  RequestHook after_request_hook_;  // audit:allow(guarded-by)
 
   /// Timeline of the most recent CrashRecovery(); session-replay entries
   /// (including lazy orphan recoveries) are appended as they finish.

@@ -53,7 +53,8 @@ struct MspConfig {
   uint32_t shared_var_checkpoint_threshold_writes = 256;
   /// Take an MSP fuzzy checkpoint whenever the log has grown by this much
   /// since the previous one (evaluated by the checkpoint daemon). 0 = only
-  /// on demand (ForceMspCheckpoint) and at recovery end.
+  /// on demand (ForceCheckpoint(CheckpointTarget::Msp())) and at recovery
+  /// end.
   uint64_t msp_checkpoint_log_bytes = 1 << 20;
   /// Force a session / shared-variable checkpoint if this many MSP
   /// checkpoints passed since its last one (§3.4, idle-session rule).
@@ -78,15 +79,10 @@ struct MspConfig {
   /// Timeout for one round of a distributed-flush request (model ms);
   /// retried until the peer answers or the session turns out orphan.
   double flush_timeout_ms = 300.0;
-  uint32_t max_call_sends = 200;
 
   // ---- baselines ----
   /// Endpoint name of the state server (mode kStateServer).
   std::string state_server;
-
-  /// Model CPU milliseconds charged for executing one service method body
-  /// in addition to whatever the method itself Compute()s.
-  double method_overhead_ms = 0.0;
 
   // ---- ablations (DESIGN.md §5) ----
   /// §3.2: per-session DVs let sessions recover independently. When false,

@@ -1,6 +1,5 @@
 #include "obs/flight_recorder.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "obs/metrics.h"  // JsonEscape
@@ -22,19 +21,6 @@ std::string FmtMs(double v) {
 
 }  // namespace
 
-const char* FlightEventTypeName(FlightEventType t) {
-  switch (t) {
-    case FlightEventType::kRequest: return "Request";
-    case FlightEventType::kFlushLeg: return "FlushLeg";
-    case FlightEventType::kDvUpdate: return "DvUpdate";
-    case FlightEventType::kInvariant: return "Invariant";
-    case FlightEventType::kCrash: return "Crash";
-    case FlightEventType::kRecovery: return "Recovery";
-    case FlightEventType::kNote: return "Note";
-  }
-  return "?";
-}
-
 std::string FlightBundle::ToJson() const {
   std::string out = "{";
   out += "\"frozen\":" + std::string(frozen ? "true" : "false") + ",";
@@ -45,18 +31,7 @@ std::string FlightBundle::ToJson() const {
   out += "\"held_locks\":\"" + JsonEscape(held_locks) + "\",";
   out += "\"frozen_at_ms\":" + FmtMs(frozen_at_ms) + ",";
   out += "\"events_dropped\":" + std::to_string(events_dropped) + ",";
-  out += "\"events\":[";
-  for (size_t i = 0; i < events.size(); ++i) {
-    const FlightEvent& e = events[i];
-    if (i) out += ",";
-    out += "{\"type\":\"" + std::string(FlightEventTypeName(e.type)) +
-           "\",\"t_ms\":" + FmtMs(e.t_ms) +
-           ",\"seq\":" + std::to_string(e.seq) +
-           ",\"seqno\":" + std::to_string(e.seqno) + ",\"actor\":\"" +
-           JsonEscape(e.actor) + "\",\"session\":\"" + JsonEscape(e.session) +
-           "\",\"detail\":\"" + JsonEscape(e.detail) + "\"}";
-  }
-  out += "],";
+  out += "\"events\":" + TraceEventsJson(events) + ",";
   out += "\"snapshots\":[";
   for (size_t i = 0; i < snapshots.size(); ++i) {
     const auto& [who, snap] = snapshots[i];
@@ -80,28 +55,13 @@ std::string FlightBundle::ToJson() const {
                                       : snap.statusz_json);
     out += "}";
   }
-  out += "],";
-  out += "\"tracer_tail\":" +
-         (tracer_tail_json.empty() ? std::string("[]") : tracer_tail_json);
-  out += "}";
+  out += "]}";
   return out;
 }
 
-FlightRecorder::FlightRecorder(std::function<double()> now_ms)
-    : FlightRecorder(std::move(now_ms), Options()) {}
-
-FlightRecorder::FlightRecorder(std::function<double()> now_ms, Options options)
-    : now_ms_(std::move(now_ms)), options_(options) {
-  if (options_.ring_capacity == 0) options_.ring_capacity = 1;
-  if (options_.max_bundles == 0) options_.max_bundles = 1;
-  audit::LockGuard lk(mu_);
-  ring_.reserve(options_.ring_capacity);
-}
-
-void FlightRecorder::set_tracer_tail_dump(std::function<std::string()> dump) {
-  audit::LockGuard lk(mu_);
-  tracer_tail_dump_ = std::move(dump);
-}
+FlightRecorder::FlightRecorder(EventTracer* tracer,
+                               std::function<double()> now_ms)
+    : tracer_(tracer), now_ms_(std::move(now_ms)) {}
 
 void FlightRecorder::set_held_locks_dump(std::function<std::string()> dump) {
   audit::LockGuard lk(mu_);
@@ -119,106 +79,63 @@ void FlightRecorder::ClearSnapshotProvider(const std::string& actor) {
   providers_.erase(actor);
 }
 
-void FlightRecorder::Record(FlightEventType type, const std::string& actor,
-                            const std::string& session, uint64_t seqno,
-                            const std::string& detail) {
-  FlightEvent e;
-  e.type = type;
-  e.t_ms = now_ms_();
-  e.seqno = seqno;
-  e.actor = actor;
-  e.session = session;
-  e.detail = detail;
-  audit::LockGuard lk(mu_);
-  e.seq = total_++;
-  if (ring_.size() < options_.ring_capacity) {
-    ring_.push_back(std::move(e));
-  } else {
-    ring_[next_] = std::move(e);
-    next_ = (next_ + 1) % options_.ring_capacity;
+FlightBundle FlightRecorder::Freeze(
+    FlightBundle b,
+    const std::vector<std::pair<std::string, SnapshotProvider>>& providers) {
+  // Only the copies and the retention below take mu_: providers take server
+  // locks (statusz, session table) and must never nest under it.
+  std::function<std::string()> locks_dump;
+  {
+    audit::LockGuard lk(mu_);
+    locks_dump = held_locks_dump_;
   }
-}
-
-std::vector<FlightEvent> FlightRecorder::RingEventsLocked() const {
-  mu_.AssertHeld();
-  std::vector<FlightEvent> out;
-  out.reserve(ring_.size());
-  size_t start = (total_ >= ring_.size() && !ring_.empty()) ? next_ : 0;
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
-}
-
-FlightBundle FlightRecorder::BuildBundleLocked(const std::string& actor,
-                                               uint64_t generation,
-                                               const std::string& trigger,
-                                               const std::string& detail) {
-  mu_.AssertHeld();
-  FlightBundle b;
   b.frozen = true;
-  b.generation = generation;
-  b.actor = actor;
-  b.trigger = trigger;
-  b.detail = detail;
   b.frozen_at_ms = now_ms_();
-  b.events = RingEventsLocked();
-  b.events_dropped = total_ - ring_.size();
+  b.events = tracer_->Events(kFrozenEvents);
+  b.events_dropped = tracer_->dropped();
+  if (locks_dump) b.held_locks = locks_dump();
+  for (const auto& [who, provider] : providers) {
+    b.snapshots.emplace_back(who, provider());
+  }
+  audit::LockGuard lk(mu_);
+  bundles_.push_back(b);
+  ++frozen_total_;
+  while (bundles_.size() > kMaxBundles) bundles_.pop_front();
   return b;
 }
 
 FlightBundle FlightRecorder::FreezeOnCrash(const std::string& actor,
                                            uint64_t generation,
                                            const std::string& detail) {
-  SnapshotProvider provider;
-  std::function<std::string()> tracer_dump, locks_dump;
-  FlightBundle b;
+  std::vector<std::pair<std::string, SnapshotProvider>> providers;
   {
     audit::LockGuard lk(mu_);
-    b = BuildBundleLocked(actor, generation, "crash", detail);
     auto it = providers_.find(actor);
-    if (it != providers_.end()) provider = it->second;
-    tracer_dump = tracer_tail_dump_;
-    locks_dump = held_locks_dump_;
+    if (it != providers_.end()) providers.emplace_back(actor, it->second);
   }
-  // Providers run outside the recorder lock: they take server locks
-  // (statusz, session table) and must never nest under mu_.
-  if (tracer_dump) b.tracer_tail_json = tracer_dump();
-  if (locks_dump) b.held_locks = locks_dump();
-  if (provider) b.snapshots.emplace_back(actor, provider());
-  audit::LockGuard lk(mu_);
-  bundles_.push_back(b);
-  ++frozen_total_;
-  while (bundles_.size() > options_.max_bundles) bundles_.pop_front();
-  return b;
+  FlightBundle b;
+  b.generation = generation;
+  b.actor = actor;
+  b.trigger = "crash";
+  b.detail = detail;
+  return Freeze(std::move(b), providers);
 }
 
 void FlightRecorder::FreezeOnViolation(const std::string& invariant,
                                        const std::string& detail) {
   if (tls_in_violation_freeze) return;
   tls_in_violation_freeze = true;
-  Record(FlightEventType::kInvariant, invariant, "", 0, detail);
+  tracer_->Record(TraceEventType::kInvariant, now_ms_(), invariant, "", 0,
+                  detail);
   std::vector<std::pair<std::string, SnapshotProvider>> providers;
-  std::function<std::string()> tracer_dump, locks_dump;
-  FlightBundle b;
   {
     audit::LockGuard lk(mu_);
-    b = BuildBundleLocked("", 0, "invariant:" + invariant, detail);
     providers.assign(providers_.begin(), providers_.end());
-    tracer_dump = tracer_tail_dump_;
-    locks_dump = held_locks_dump_;
   }
-  if (tracer_dump) b.tracer_tail_json = tracer_dump();
-  if (locks_dump) b.held_locks = locks_dump();
-  for (auto& [who, provider] : providers) {
-    b.snapshots.emplace_back(who, provider());
-  }
-  {
-    audit::LockGuard lk(mu_);
-    bundles_.push_back(std::move(b));
-    ++frozen_total_;
-    while (bundles_.size() > options_.max_bundles) bundles_.pop_front();
-  }
+  FlightBundle b;
+  b.trigger = "invariant:" + invariant;
+  b.detail = detail;
+  Freeze(std::move(b), providers);
   tls_in_violation_freeze = false;
 }
 
@@ -240,50 +157,13 @@ uint64_t FlightRecorder::frozen_count() const {
   return frozen_total_;
 }
 
-uint64_t FlightRecorder::recorded_total() const {
-  audit::LockGuard lk(mu_);
-  return total_;
-}
-
-uint64_t FlightRecorder::dropped() const {
-  audit::LockGuard lk(mu_);
-  return total_ - ring_.size();
-}
-
-std::vector<FlightEvent> FlightRecorder::RingEvents() const {
-  audit::LockGuard lk(mu_);
-  return RingEventsLocked();
-}
-
 std::string FlightRecorder::DumpJson() const {
-  std::vector<FlightBundle> bundles = Bundles();
-  std::vector<FlightEvent> ring;
-  uint64_t total, dropped_n;
-  {
-    audit::LockGuard lk(mu_);
-    ring = RingEventsLocked();
-    total = total_;
-    dropped_n = total_ - ring_.size();
-  }
-  std::string out = "{\"ring\":{\"capacity\":" +
-                    std::to_string(options_.ring_capacity) +
-                    ",\"recorded_total\":" + std::to_string(total) +
-                    ",\"dropped\":" + std::to_string(dropped_n) +
-                    ",\"events\":[";
-  for (size_t i = 0; i < ring.size(); ++i) {
-    const FlightEvent& e = ring[i];
-    if (i) out += ",";
-    out += "{\"type\":\"" + std::string(FlightEventTypeName(e.type)) +
-           "\",\"t_ms\":" + FmtMs(e.t_ms) +
-           ",\"seq\":" + std::to_string(e.seq) +
-           ",\"seqno\":" + std::to_string(e.seqno) + ",\"actor\":\"" +
-           JsonEscape(e.actor) + "\",\"session\":\"" + JsonEscape(e.session) +
-           "\",\"detail\":\"" + JsonEscape(e.detail) + "\"}";
-  }
-  out += "]},\"bundles\":[";
-  for (size_t i = 0; i < bundles.size(); ++i) {
-    if (i) out += ",";
-    out += bundles[i].ToJson();
+  std::string out = "{\"bundles\":[";
+  bool first = true;
+  for (const FlightBundle& b : Bundles()) {
+    if (!first) out += ",";
+    first = false;
+    out += b.ToJson();
   }
   out += "]}";
   return out;

@@ -35,6 +35,8 @@ const char* TraceEventTypeName(TraceEventType t) {
     case TraceEventType::kClientCallEnd: return "ClientCallEnd";
     case TraceEventType::kFlushFlightLaunch: return "FlushFlightLaunch";
     case TraceEventType::kFlushLegJoin: return "FlushLegJoin";
+    case TraceEventType::kCrash: return "Crash";
+    case TraceEventType::kInvariant: return "Invariant";
   }
   return "?";
 }
@@ -82,7 +84,6 @@ EventTracer::EventTracer(size_t capacity, size_t stripes) {
 void EventTracer::Record(TraceEventType type, double model_ms,
                          std::string actor, std::string session,
                          uint64_t seqno, std::string detail, SpanContext span) {
-  if (!enabled()) return;
   TraceEvent e;
   e.type = type;
   e.model_ms = model_ms;
@@ -111,16 +112,25 @@ void EventTracer::Record(TraceEventType type, double model_ms,
   if (overwrote && drop_counter_) drop_counter_->Add(1);
 }
 
-std::vector<TraceEvent> EventTracer::Events() const {
+std::vector<TraceEvent> EventTracer::Events(size_t newest) const {
   std::vector<TraceEvent> out;
   for (const auto& sp : stripes_) {
     audit::LockGuard lk(sp->mu);
-    out.insert(out.end(), sp->ring.begin(), sp->ring.end());
+    const size_t n = sp->ring.size();
+    const size_t take = newest > 0 ? std::min(newest, n) : n;
+    // Once full, the oldest slot is the overwrite cursor.
+    const size_t oldest = n < per_stripe_ ? 0 : sp->next;
+    for (size_t i = n - take; i < n; ++i) {
+      out.push_back(sp->ring[(oldest + i) % n]);
+    }
   }
   std::sort(out.begin(), out.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               return a.seq < b.seq;
             });
+  if (newest > 0 && out.size() > newest) {
+    out.erase(out.begin(), out.end() - static_cast<ptrdiff_t>(newest));
+  }
   return out;
 }
 
@@ -142,12 +152,9 @@ void EventTracer::Clear() {
   }
 }
 
-std::string EventTracer::DumpJson(size_t max_events) const {
-  std::vector<TraceEvent> events = Events();
-  if (max_events > 0 && events.size() > max_events) {
-    events.erase(events.begin(),
-                 events.end() - static_cast<ptrdiff_t>(max_events));
-  }
+std::string EventTracer::DumpJson() const { return TraceEventsJson(Events()); }
+
+std::string TraceEventsJson(const std::vector<TraceEvent>& events) {
   std::string out = "[";
   bool first = true;
   for (const TraceEvent& e : events) {

@@ -65,6 +65,8 @@ enum class TraceEventType : uint8_t {
   kClientCallEnd,     ///< matching reply accepted (or the call gave up)
   kFlushFlightLaunch, ///< distributed-flush flight (kFlushRequest) sent
   kFlushLegJoin,      ///< a flush leg joined an in-flight request
+  kCrash,             ///< a server crashed (simulated fault or injected)
+  kInvariant,         ///< an audit invariant violation fired
 };
 
 const char* TraceEventTypeName(TraceEventType t);
@@ -96,12 +98,14 @@ struct TraceEvent {
   SpanContext span;      ///< causal-tracing ids (trace_id 0 = untraced)
 };
 
+/// The one event serializer: a JSON array of `events`, schema in
+/// docs/OBSERVABILITY.md. Used by EventTracer::DumpJson and by frozen
+/// flight-recorder bundles.
+std::string TraceEventsJson(const std::vector<TraceEvent>& events);
+
 class EventTracer {
  public:
   explicit EventTracer(size_t capacity = 1 << 16, size_t stripes = 8);
-
-  void set_enabled(bool v) { enabled_.store(v, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Mirror ring overwrites into `c` (e.g. the registry's
   /// "obs.trace_dropped"), so benches can surface truncation. May be null.
@@ -111,18 +115,18 @@ class EventTracer {
               std::string session = "", uint64_t seqno = 0,
               std::string detail = "", SpanContext span = SpanContext());
 
-  /// All retained events in global record order (by seq).
-  std::vector<TraceEvent> Events() const;
+  /// Retained events in global record order (by seq). `newest` > 0 keeps
+  /// only that many of the newest events (the slice a flight-recorder
+  /// bundle freezes) and copies no more than that from each stripe.
+  std::vector<TraceEvent> Events(size_t newest = 0) const;
 
   /// Number of events overwritten because the ring was full.
   uint64_t dropped() const;
 
   void Clear();
 
-  /// JSON array of retained events. `max_events` > 0 keeps only that many
-  /// of the NEWEST events — the tail a flight-recorder bundle embeds; 0
-  /// dumps everything.
-  std::string DumpJson(size_t max_events = 0) const;
+  /// JSON array of retained events (TraceEventsJson).
+  std::string DumpJson() const;
   std::string DumpChromeTracing() const;
 
  private:
@@ -141,7 +145,6 @@ class EventTracer {
   size_t per_stripe_;
   std::vector<std::unique_ptr<Stripe>> stripes_;
   std::atomic<uint64_t> seq_{0};
-  std::atomic<bool> enabled_{true};
   Counter* drop_counter_ = nullptr;
 };
 

@@ -40,16 +40,14 @@ void SleepUntilNs(uint64_t deadline_ns) {
 
 SimEnvironment::SimEnvironment(double time_scale)
     : time_scale_(time_scale), start_ns_(NowNs()),
-      flight_recorder_([this] { return NowModelMs(); }),
+      flight_recorder_(&tracer_, [this] { return NowModelMs(); }),
       scraper_(&metrics_, [this] { return NowModelMs(); }) {
   // Ring overwrites become a visible counter: benches check it and warn in
   // their BENCH_JSON when a trace was silently truncated.
   tracer_.set_drop_counter(metrics_.GetCounter("obs.trace_dropped"));
-  // Black-box wiring: bundles embed the tracer tail and the freezing
-  // thread's held-lock summary, and every audit invariant violation in this
-  // process freezes a bundle while this environment lives.
-  flight_recorder_.set_tracer_tail_dump(
-      [this] { return tracer_.DumpJson(/*max_events=*/256); });
+  // Black-box wiring: bundles embed the freezing thread's held-lock
+  // summary, and every audit invariant violation in this process freezes a
+  // bundle while this environment lives.
   flight_recorder_.set_held_locks_dump([] {
     std::string out;
     for (const std::string& name :

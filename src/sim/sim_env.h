@@ -138,18 +138,15 @@ class SimEnvironment {
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Request-lifecycle event tracer (bounded ring; on by default).
+  /// Request-lifecycle event tracer (bounded ring, always on).
   obs::EventTracer& tracer() { return tracer_; }
   const obs::EventTracer& tracer() const { return tracer_; }
 
-  /// Crash black box (bounded event ring + frozen snapshot bundles). Owned
-  /// here — like the scraper — so the pre-crash ring and bundles survive
-  /// Msp crash/recovery; frozen automatically on any audit invariant
-  /// violation via a registry hook installed at construction.
+  /// Crash black box: frozen snapshot bundles, each carrying a slice of
+  /// tracer(). Owned here — like the scraper — so bundles survive Msp
+  /// crash/recovery; frozen automatically on any audit invariant violation
+  /// via a registry hook installed at construction.
   obs::FlightRecorder& flight_recorder() { return flight_recorder_; }
-  const obs::FlightRecorder& flight_recorder() const {
-    return flight_recorder_;
-  }
 
   /// Background time-series sampler over this environment's registry.
   /// Owned here rather than by any server so its rings survive MSP
@@ -163,7 +160,7 @@ class SimEnvironment {
   SimStats stats_;
   obs::MetricsRegistry metrics_;
   obs::EventTracer tracer_;
-  obs::FlightRecorder flight_recorder_;  ///< after tracer_: dumps its tail
+  obs::FlightRecorder flight_recorder_;  ///< after tracer_: freezes its slices
   obs::MetricsScraper scraper_;  ///< last member: stops before peers die
   int violation_hook_id_ = 0;
 };

@@ -117,7 +117,8 @@ const FaultPlan& SimNetwork::FaultsFor(const std::string& from,
                                        const std::string& to) const {
   mu_.AssertHeld();
   auto it = faults_.find({from, to});
-  return it == faults_.end() ? default_faults_ : it->second;
+  static const FaultPlan kNoFaults{};
+  return it == faults_.end() ? kNoFaults : it->second;
 }
 
 double SimNetwork::OneWayMs(const std::string& a, const std::string& b,
@@ -144,12 +145,6 @@ void SimNetwork::SetFaults(const std::string& from, const std::string& to,
                            FaultPlan plan) {
   audit::LockGuard lk(mu_);
   faults_[{from, to}] = plan;
-}
-
-void SimNetwork::ClearFaults() {
-  audit::LockGuard lk(mu_);
-  faults_.clear();
-  default_faults_ = FaultPlan();
 }
 
 void SimNetwork::Send(const std::string& from, const std::string& to,

@@ -108,14 +108,9 @@ class SimNetwork {
     bandwidth_mbps_ = mbps;
   }
 
-  /// Fault plan for the directed link from → to (overrides the default).
+  /// Fault plan for the directed link from → to (default: no faults).
   void SetFaults(const std::string& from, const std::string& to,
                  FaultPlan plan);
-  void SetDefaultFaults(FaultPlan plan) {
-    audit::LockGuard lk(mu_);
-    default_faults_ = plan;
-  }
-  void ClearFaults();
 
   /// One-way model latency for a pair including bandwidth for `bytes`.
   double OneWayMs(const std::string& a, const std::string& b,
@@ -147,7 +142,6 @@ class SimNetwork {
   audit::CondVar cv_;
   double default_one_way_ms_ GUARDED_BY(mu_) = 0.0;
   double bandwidth_mbps_ GUARDED_BY(mu_) = 100.0;
-  FaultPlan default_faults_ GUARDED_BY(mu_);
   bool stop_ GUARDED_BY(mu_) = false;
   uint64_t next_seq_ GUARDED_BY(mu_) = 0;
   std::map<std::string, std::shared_ptr<Mailbox>> endpoints_

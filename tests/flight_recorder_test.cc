@@ -1,5 +1,5 @@
-// Flight recorder + outage observatory tests: the black-box ring itself,
-// the freeze triggers (simulated crash, invariant violation), the
+// Flight recorder + outage observatory tests: bundles as frozen tracer
+// slices, the freeze triggers (simulated crash, invariant violation), the
 // recovery-side outage join (per-session fates and MTTR vs ground truth
 // under a chaos workload), the offline post-mortem cross-check, and the
 // bounded crash-generation / recovery-timeline history across many cycles.
@@ -9,6 +9,7 @@
 // CLI over real artifacts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <thread>
@@ -22,32 +23,28 @@ namespace msplog {
 namespace {
 
 // ---------------------------------------------------------------------------
-// FlightRecorder unit tests (no server involved).
+// FlightRecorder unit tests (no server involved). Ring wrap, drop count
+// and newest-survive belong to the tracer (stats_test TracerDropTest).
 // ---------------------------------------------------------------------------
 
-TEST(FlightRecorderTest, RingWrapsAndCountsDrops) {
-  double now = 1.0;
-  obs::FlightRecorder::Options opt;
-  opt.ring_capacity = 4;
-  obs::FlightRecorder fr([&now] { return now; }, opt);
-  for (int i = 0; i < 10; ++i) {
-    now = 1.0 + i;
-    fr.Record(obs::FlightEventType::kNote, "a", "s", i, "e" + std::to_string(i));
+TEST(FlightRecorderTest, BundleFreezesTheNewestTracerEvents) {
+  constexpr size_t kFrozen = obs::FlightRecorder::kFrozenEvents;
+  obs::EventTracer tracer(/*capacity=*/kFrozen + 64, /*stripes=*/1);
+  obs::FlightRecorder fr(&tracer, [] { return 1.0; });
+  for (size_t i = 0; i < kFrozen + 100; ++i) {
+    tracer.Record(obs::TraceEventType::kDequeue, 1.0, "a", "s", i);
   }
-  EXPECT_EQ(fr.recorded_total(), 10u);
-  EXPECT_EQ(fr.dropped(), 6u);
-  std::vector<obs::FlightEvent> ring = fr.RingEvents();
-  ASSERT_EQ(ring.size(), 4u);
-  // Oldest-first, and exactly the newest four survive.
-  for (size_t i = 0; i < ring.size(); ++i) {
-    EXPECT_EQ(ring[i].seq, 6 + i);
-    EXPECT_EQ(ring[i].detail, "e" + std::to_string(6 + i));
-  }
+  obs::FlightBundle b = fr.FreezeOnCrash("a", 1);
+  // The newest kFrozenEvents, oldest first, and the tracer's drop count.
+  ASSERT_EQ(b.events.size(), kFrozen);
+  for (size_t i = 0; i < kFrozen; ++i) EXPECT_EQ(b.events[i].seqno, 100 + i);
+  EXPECT_EQ(b.events_dropped, 36u);
 }
 
 TEST(FlightRecorderTest, FreezeOnCrashSnapshotsTheCrashedActorOnly) {
   double now = 5.0;
-  obs::FlightRecorder fr([&now] { return now; });
+  obs::EventTracer tracer;
+  obs::FlightRecorder fr(&tracer, [&now] { return now; });
   fr.SetSnapshotProvider("m1", [] {
     obs::FlightSnapshot s;
     s.statusz_json = "{\"who\":\"m1\"}";
@@ -57,8 +54,7 @@ TEST(FlightRecorderTest, FreezeOnCrashSnapshotsTheCrashedActorOnly) {
     return s;
   });
   fr.SetSnapshotProvider("m2", [] { return obs::FlightSnapshot(); });
-  fr.set_tracer_tail_dump([] { return std::string("[{\"t\":1}]"); });
-  fr.Record(obs::FlightEventType::kRequest, "m1", "sA", 7, "method");
+  tracer.Record(obs::TraceEventType::kDequeue, now, "m1", "sA", 7, "method");
 
   obs::FlightBundle b = fr.FreezeOnCrash("m1", 3, "test crash");
   EXPECT_TRUE(b.frozen);
@@ -82,29 +78,34 @@ TEST(FlightRecorderTest, FreezeOnCrashSnapshotsTheCrashedActorOnly) {
   std::string json = b.ToJson();
   EXPECT_NE(json.find("\"trigger\":\"crash\""), std::string::npos);
   EXPECT_NE(json.find("\"statusz\":{\"who\":\"m1\"}"), std::string::npos);
-  EXPECT_NE(json.find("\"tracer_tail\":[{\"t\":1}]"), std::string::npos);
+  // The frozen events use the tracer's own serializer.
+  EXPECT_NE(json.find("\"events\":" + obs::TraceEventsJson(b.events)),
+            std::string::npos);
+  EXPECT_NE(json.find("\"type\":\"Dequeue\""), std::string::npos);
 }
 
 TEST(FlightRecorderTest, BundleHistoryIsBounded) {
   double now = 0;
-  obs::FlightRecorder::Options opt;
-  opt.max_bundles = 2;
-  obs::FlightRecorder fr([&now] { return now; }, opt);
-  for (uint64_t g = 1; g <= 5; ++g) {
+  obs::EventTracer tracer;
+  obs::FlightRecorder fr(&tracer, [&now] { return now; });
+  constexpr uint64_t kMax = obs::FlightRecorder::kMaxBundles;
+  for (uint64_t g = 1; g <= kMax + 3; ++g) {
     now = static_cast<double>(g);
     fr.FreezeOnCrash("m", g);
   }
   std::vector<obs::FlightBundle> bundles = fr.Bundles();
-  ASSERT_EQ(bundles.size(), 2u);
-  EXPECT_EQ(bundles[0].generation, 4u);
-  EXPECT_EQ(bundles[1].generation, 5u);
-  EXPECT_EQ(fr.frozen_count(), 5u);
-  EXPECT_EQ(fr.LatestBundleFor("m").generation, 5u);
+  ASSERT_EQ(bundles.size(), kMax);
+  for (uint64_t i = 0; i < kMax; ++i) {
+    EXPECT_EQ(bundles[i].generation, 4 + i);  // oldest evicted first
+  }
+  EXPECT_EQ(fr.frozen_count(), kMax + 3);
+  EXPECT_EQ(fr.LatestBundleFor("m").generation, kMax + 3);
 }
 
 TEST(FlightRecorderTest, ViolationFreezeSnapshotsAllProviders) {
   double now = 2.0;
-  obs::FlightRecorder fr([&now] { return now; });
+  obs::EventTracer tracer;
+  obs::FlightRecorder fr(&tracer, [&now] { return now; });
   fr.SetSnapshotProvider("m1", [] { return obs::FlightSnapshot(); });
   fr.SetSnapshotProvider("m2", [] { return obs::FlightSnapshot(); });
   fr.FreezeOnViolation("dv-monotonic", "went backwards");
@@ -112,13 +113,15 @@ TEST(FlightRecorderTest, ViolationFreezeSnapshotsAllProviders) {
   ASSERT_EQ(bundles.size(), 1u);
   EXPECT_EQ(bundles[0].trigger, "invariant:dv-monotonic");
   EXPECT_EQ(bundles[0].snapshots.size(), 2u);
-  // The triggering invariant is also the newest ring event.
+  // The triggering invariant is also the newest tracer event.
   ASSERT_FALSE(bundles[0].events.empty());
-  EXPECT_EQ(bundles[0].events.back().type, obs::FlightEventType::kInvariant);
-  // DumpJson carries both the live ring and the frozen bundle.
+  EXPECT_EQ(bundles[0].events.back().type, obs::TraceEventType::kInvariant);
+  EXPECT_EQ(bundles[0].events.back().actor, "dv-monotonic");
+  // DumpJson carries the frozen bundle.
   std::string json = fr.DumpJson();
   EXPECT_NE(json.find("\"bundles\":[{"), std::string::npos);
   EXPECT_NE(json.find("invariant:dv-monotonic"), std::string::npos);
+  EXPECT_NE(json.find("\"type\":\"Invariant\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -149,6 +152,11 @@ TEST(FlightRecorderIntegrationTest, InvariantViolationFreezesServerState) {
   ASSERT_FALSE(bundles.empty());
   const obs::FlightBundle& b = bundles.back();
   EXPECT_EQ(b.trigger, "invariant:test-invariant");
+  EXPECT_TRUE(std::any_of(b.events.begin(), b.events.end(),
+                          [](const obs::TraceEvent& e) {
+                            return e.type == obs::TraceEventType::kInvariant &&
+                                   e.actor == "test-invariant";
+                          }));
   ASSERT_EQ(b.snapshots.size(), 2u);  // msp1 and msp2
   for (const auto& [who, snap] : b.snapshots) {
     EXPECT_TRUE(who == "msp1" || who == "msp2");
@@ -224,6 +232,16 @@ TEST(OutageObservatoryTest, ChaosCrashFatesAndMttrMatchGroundTruth) {
       w.env()->flight_recorder().LatestBundleFor("msp2");
   ASSERT_TRUE(bundle.frozen);
   EXPECT_EQ(bundle.generation, w.crashes_injected());
+  // The bundle is a frozen tracer slice holding this crash's Crash event.
+  auto crash = std::find_if(
+      bundle.events.rbegin(), bundle.events.rend(),
+      [](const obs::TraceEvent& e) {
+        return e.type == obs::TraceEventType::kCrash;
+      });
+  ASSERT_NE(crash, bundle.events.rend());
+  EXPECT_EQ(crash->actor, "msp2");
+  EXPECT_NE(crash->detail.find("gen=" + std::to_string(bundle.generation)),
+            std::string::npos);
   ASSERT_EQ(bundle.snapshots.size(), 1u);
   const obs::FlightSnapshot& snap = bundle.snapshots[0].second;
   // MSP2 served MSP1's one outgoing session; it was in flight at the crash.

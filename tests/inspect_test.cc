@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "log/log_scanner.h"
 #include "msp/log_inspect.h"
 #include "msp/msp.h"
 #include "msp/service_domain.h"
@@ -27,13 +28,14 @@ class InspectTest : public ::testing::Test {
 
   /// One MSP with aggressive checkpointing, so the log image carries every
   /// record type the inspector knows how to validate.
-  void Build() {
+  void Build(bool reclaim_log = true) {
     directory_.Assign("m1", "dom");
     MspConfig c;
     c.id = "m1";
     c.checkpoint_daemon = false;
     c.session_checkpoint_threshold_bytes = 256;
     c.shared_var_checkpoint_threshold_writes = 4;
+    c.reclaim_log = reclaim_log;
     msp_ = std::make_unique<Msp>(&env_, &net_, &disk_, &directory_, c);
     msp_->RegisterSharedVariable("sv", "0");
     msp_->RegisterMethod("work", [](ServiceContext* ctx, const Bytes& arg,
@@ -147,6 +149,31 @@ TEST_F(InspectTest, CorruptedCopyIsDetectedNotAccepted) {
   EXPECT_TRUE(report.torn_tail);
   EXPECT_LT(report.records, clean.records);
   EXPECT_NE(report.Summary().find("torn tail"), std::string::npos);
+}
+
+TEST_F(InspectTest, MidLogTearFailsTheSelfCheck) {
+  Build(/*reclaim_log=*/false);  // keep the head of the log
+  RunWorkloadWithCrash();
+
+  // Flip one body byte of the first record, in the first quarter of a
+  // clean image. The scan stops there, but valid frames follow at later
+  // sector boundaries: a mid-log tear, not a torn tail.
+  uint64_t size = disk_.FileSize("m1.log");
+  Bytes image;
+  ASSERT_TRUE(disk_.ReadAt("m1.log", 0, size, &image).ok());
+  LogScanner scanner(&disk_, "m1.log", 0, size);
+  LogRecord rec;
+  ASSERT_TRUE(scanner.Next(&rec).ok());
+  ASSERT_LT(rec.lsn, size / 4);
+  image[rec.lsn + 8] = static_cast<char>(image[rec.lsn + 8] ^ 0x01);
+  ASSERT_TRUE(disk_.WriteAt("torn.log", 0, image).ok());
+
+  LogInspectReport report;
+  ASSERT_TRUE(
+      InspectLogImage(&disk_, "torn.log", LogInspectOptions(), &report).ok());
+  EXPECT_EQ(report.torn_tail_lsn, rec.lsn);
+  ASSERT_EQ(report.invariant_violations.size(), 1u);
+  EXPECT_EQ(report.invariant_violations[0].rfind("mid-log tear", 0), 0u);
 }
 
 TEST_F(InspectTest, StatsReconstructsPerSessionCountsFromTheImage) {

@@ -103,6 +103,53 @@ TEST_F(LogFileTest, HalfSectorWastePerFlush) {
   EXPECT_LT(after.disk_bytes_wasted - before.disk_bytes_wasted, 512u);
 }
 
+/// A request record whose frame is exactly `framed` bytes.
+LogRecord RecordFramedAs(size_t framed, uint64_t seqno) {
+  LogRecord r = MakeRequestRecord("s", seqno, "m", "");
+  for (size_t n = 0; r.EncodedSize() + 8 < framed; ++n) {
+    r.payload = MakePayload(n, seqno);
+  }
+  return r;
+}
+
+// Sector-tail rule (log_file.h): no frame starts in the last 7 bytes of a
+// sector. With a flush in between, a sealed end 1-3 bytes before a boundary
+// has no room for a zero length prefix, so the scan must skip the tail
+// rather than read the next frame's header as a length and stop early.
+// Without a flush, the reservation itself skips the tail.
+TEST_F(LogFileTest, NoFrameStartsInASectorTail) {
+  for (size_t tail = 1; tail <= 7; ++tail) {
+    for (bool flush_between : {true, false}) {
+      const std::string file =
+          "tail" + std::to_string(tail) + (flush_between ? "f" : "");
+      LogFile log(&env_, &disk_, file);
+      auto before = env_.stats().Snap();
+      ASSERT_EQ(log.Append(RecordFramedAs(512 - tail, 1)), 512u);
+      if (flush_between) {
+        ASSERT_TRUE(log.FlushAll().ok());
+      }
+      size_t framed = 0;
+      EXPECT_EQ(log.Append(MakeRequestRecord("s", 2, "m", "next"), &framed),
+                1024u);
+      ASSERT_TRUE(log.FlushAll().ok());
+      // Everything in [512, 1536) but the two frames is counted waste.
+      auto after = env_.stats().Snap();
+      EXPECT_EQ(after.disk_bytes_wasted - before.disk_bytes_wasted,
+                512 + tail - framed);
+
+      LogScanner scanner(&disk_, file, 0, disk_.FileSize(file));
+      LogRecord r;
+      for (uint64_t seqno : {1u, 2u}) {
+        Status st = scanner.Next(&r);
+        ASSERT_TRUE(st.ok()) << "tail " << tail << ": " << st.ToString();
+        EXPECT_EQ(r.seqno, seqno);
+      }
+      EXPECT_EQ(r.lsn, 1024u);
+      EXPECT_TRUE(scanner.Next(&r).IsNotFound());
+    }
+  }
+}
+
 TEST_F(LogFileTest, FlushUpToIsIdempotent) {
   LogFile log(&env_, &disk_, "log");
   uint64_t lsn = log.Append(MakeRequestRecord("s", 1, "m", "x"));

@@ -16,7 +16,7 @@
 //                  SessionStats shape the live server's telemetry reports
 //   --json         print the report as JSON instead of text
 //   --self-check   exit 1 unless the image has records and no invariant
-//                  violations (CI gate)
+//                  violations, a mid-log tear included (CI gate)
 //   --archive-manifest FILE
 //                  overlay archived log segments into the image before the
 //                  walk. Each manifest line is "<base-lsn> <segment-file>"
