@@ -181,8 +181,6 @@ void LockOrderRegistry::ResetForTest() {
   im.reports.clear();
 }
 
-size_t LockOrderRegistry::HeldByThisThread() const { return tls_held.size(); }
-
 std::vector<std::string> LockOrderRegistry::HeldNamesByThisThread() const {
   std::vector<std::string> out;
   if (tls_held.empty()) return out;

@@ -73,8 +73,6 @@ class LockOrderRegistry {
   /// survive. Test-only: concurrent lock traffic during the reset races.
   void ResetForTest();
 
-  /// Locks currently held by the calling thread (diagnostics/tests).
-  size_t HeldByThisThread() const;
   /// Names of the locks held by the calling thread, in acquisition order —
   /// the held-lock summary a flight-recorder bundle carries.
   std::vector<std::string> HeldNamesByThisThread() const;

@@ -53,6 +53,14 @@ uint64_t FirstValidFrameAfter(SimDisk* disk, const std::string& file,
 
 }  // namespace
 
+const LogInspectReport::SessionFate* LogInspectReport::FindFate(
+    const std::string& session_id) const {
+  for (const auto& f : fates) {
+    if (f.session_id == session_id) return &f;
+  }
+  return nullptr;
+}
+
 std::string LogInspectReport::Summary() const {
   std::string out;
   out += "records: " + std::to_string(records);
@@ -74,7 +82,10 @@ std::string LogInspectReport::Summary() const {
     out += "newest msp checkpoint min-recovery lsn: " +
            Lsn(newest_msp_checkpoint_min_lsn) + "\n";
   }
-  if (torn_tail) {
+  if (mid_log_tear) {
+    out += "mid-log tear at lsn " + Lsn(torn_tail_lsn) +
+           " (valid frames follow it; the walk stopped there)\n";
+  } else if (torn_tail) {
     out += "torn tail at lsn " + Lsn(torn_tail_lsn) +
            " (normal after a crash)\n";
   }
@@ -89,6 +100,17 @@ std::string LogInspectReport::Summary() const {
              std::to_string(s.checkpoints) + " dv_entries=" +
              std::to_string(s.dv_entries) + "\n";
     }
+  }
+  if (post_mortem) {
+    out += "post-mortem: log durable to " + Lsn(durable_at_crash) +
+           " at the crash\n";
+    for (const auto& f : fates) {
+      out += "  session " + f.session_id + ": " + f.fate + " (first_lsn=" +
+             Lsn(f.first_lsn) + ", requests_logged=" +
+             std::to_string(f.requests_logged) + ", eos_cuts_after_crash=" +
+             std::to_string(f.eos_cuts_after_crash) + ")\n";
+    }
+    if (fates.empty()) out += "  no in-flight sessions at the crash\n";
   }
   if (invariant_violations.empty()) {
     out += "invariants: OK\n";
@@ -122,6 +144,7 @@ std::string LogInspectReport::ToJson() const {
          Lsn(newest_msp_checkpoint_min_lsn);
   out += ",\"archive_segments\":" + std::to_string(archive_segments);
   out += ",\"torn_tail\":" + std::string(torn_tail ? "true" : "false");
+  out += ",\"mid_log_tear\":" + std::string(mid_log_tear ? "true" : "false");
   out += ",\"torn_tail_lsn\":" + Lsn(torn_tail_lsn);
   out += ",\"invariant_violations\":[";
   first = true;
@@ -133,6 +156,22 @@ std::string LogInspectReport::ToJson() const {
   out += "]";
   if (!session_stats.empty()) {
     out += ",\"session_stats\":" + obs::SessionTelemetryJson(session_stats);
+  }
+  if (post_mortem) {
+    out += ",\"post_mortem\":{\"durable_at_crash\":" + Lsn(durable_at_crash);
+    out += ",\"sessions\":[";
+    first = true;
+    for (const auto& f : fates) {
+      if (!first) out += ",";
+      first = false;
+      out += "{\"session\":\"" + obs::JsonEscape(f.session_id) + "\"";
+      out += ",\"fate\":\"" + f.fate + "\"";
+      out += ",\"first_lsn\":" + Lsn(f.first_lsn);
+      out += ",\"requests_logged\":" + std::to_string(f.requests_logged);
+      out += ",\"eos_cuts_after_crash\":" +
+             std::to_string(f.eos_cuts_after_crash) + "}";
+    }
+    out += "]}";
   }
   out += "}";
   return out;
@@ -155,6 +194,9 @@ Status InspectLogImage(SimDisk* disk, const std::string& file,
   std::map<std::string, std::vector<RequestRef>> requests;
   std::map<std::string, std::vector<CutRange>> cuts;
   std::map<std::string, obs::SessionStatsSnapshot> sstats;
+  /// Post-mortem evidence per session; a non-empty `fate` marks a durable
+  /// trace until the walk ends.
+  std::map<std::string, LogInspectReport::SessionFate> evidence;
 
   uint64_t prev_record_lsn = 0;
   bool have_prev = false;
@@ -170,6 +212,7 @@ Status InspectLogImage(SimDisk* disk, const std::string& file,
       if (uint64_t later = FirstValidFrameAfter(disk, file,
                                                 report->torn_tail_lsn,
                                                 durable)) {
+        report->mid_log_tear = true;
         report->invariant_violations.push_back(
             "mid-log tear: corrupt frame at " + Lsn(report->torn_tail_lsn) +
             " but a valid frame at " + Lsn(later));
@@ -183,6 +226,17 @@ Status InspectLogImage(SimDisk* disk, const std::string& file,
     report->last_lsn = rec.lsn;
     report->records_by_type[LogRecordTypeName(rec.type)]++;
     if (!rec.session_id.empty()) report->records_by_session[rec.session_id]++;
+
+    if (opts.crash && !rec.session_id.empty()) {
+      LogInspectReport::SessionFate& e = evidence[rec.session_id];
+      if (e.first_lsn == 0) e.first_lsn = rec.lsn;
+      if (rec.lsn < opts.crash->durable_at_crash) {
+        e.fate = "replayed";
+        if (rec.type == LogRecordType::kRequestReceive) ++e.requests_logged;
+      } else if (rec.type == LogRecordType::kEos) {
+        ++e.eos_cuts_after_crash;
+      }
+    }
 
     if (opts.collect_session_stats && !rec.session_id.empty()) {
       obs::SessionStatsSnapshot& ss = sstats[rec.session_id];
@@ -350,6 +404,23 @@ Status InspectLogImage(SimDisk* disk, const std::string& file,
   for (auto& [id, ss] : sstats) {
     (void)id;
     report->session_stats.push_back(std::move(ss));
+  }
+
+  if (opts.crash) {
+    report->post_mortem = true;
+    report->durable_at_crash = opts.crash->durable_at_crash;
+    for (const std::string& id : opts.crash->inflight_sessions) {
+      LogInspectReport::SessionFate f = evidence[id];
+      if (report->mid_log_tear) {
+        f = {id, "unknown"};
+      } else if (f.fate.empty()) {
+        f = {id, "never-logged", f.first_lsn};
+      } else {
+        f.session_id = id;
+        if (f.eos_cuts_after_crash > 0) f.fate = "orphaned";
+      }
+      report->fates.push_back(std::move(f));
+    }
   }
 
   return Status::OK();

@@ -141,7 +141,9 @@ class Msp {
 
   /// Structured timeline of the most recent crash recovery: analysis-scan
   /// duration and volume, per-session replay phases, parallelism achieved,
-  /// and orphan-recovery events observed since that recovery started.
+  /// orphan-recovery events observed since that recovery started, and the
+  /// per-session `provenance` (which checkpoints and (epoch, seqno, LSN)
+  /// records rebuilt each session; lazy orphan recoveries update theirs).
   obs::RecoveryTimeline LastRecoveryTimeline() const;
 
   /// Bounded history of recovery timelines, oldest first, ending with the
@@ -161,12 +163,6 @@ class Msp {
   /// not count). Monotonic across restarts — generation stamps the flight
   /// recorder bundles.
   uint64_t crash_generation() const { return crash_generation_.load(); }
-
-  /// Per-session provenance of the most recent recovery: which checkpoints
-  /// rebuilt each session and which (epoch, seqno, LSN) log records its
-  /// replay consumed. Lazy orphan recoveries update their session's entry.
-  std::vector<obs::RecoveryTimeline::SessionProvenance> RecoveryProvenance()
-      const;
 
   /// Per-session telemetry snapshots (obs/session_stats.h), id-sorted.
   /// Relaxed-atomic reads; safe from any thread while workers run.

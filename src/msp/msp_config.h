@@ -66,7 +66,7 @@ struct MspConfig {
   bool reclaim_log = true;
   /// With reclaim_log: copy each reclaimed range into an archive segment
   /// (`<log>.arc.<base>`) before punching it, so offline forensics can still
-  /// reconstruct the full log image (msplog_inspect --archive-manifest).
+  /// reconstruct the full log image (msplog --archive-manifest).
   bool archive_log = false;
   /// Daemon wake interval (model ms).
   double checkpoint_interval_ms = 250.0;

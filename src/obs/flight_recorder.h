@@ -9,7 +9,7 @@
 // locks held by the freezing thread. Bundles are bounded (oldest evicted),
 // immutable, and owned by SimEnvironment so they survive Msp crash/recovery.
 // Recovery joins the latest crash bundle with the replay into the outage
-// report (obs/outage_report.h); tools/msplog_postmortem re-derives it
+// report (obs/outage_report.h); `tools/msplog --bundle` re-derives it
 // offline from a dumped bundle plus the raw log image.
 //
 // Layering: depends only on audit/, obs/ and injected callbacks (the

@@ -13,7 +13,7 @@
 // SessionStatsSnapshot is a plain value shared by three consumers:
 //   * Msp::SessionTelemetry() / DumpStatusz() — live sessions;
 //   * BENCH_JSON "session_telemetry" sections — per-bench dumps;
-//   * msplog_inspect --stats — the same shape reconstructed offline from a
+//   * msplog --stats — the same shape reconstructed offline from a
 //     raw log image, so online and offline views diff cleanly.
 #pragma once
 

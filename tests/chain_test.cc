@@ -208,7 +208,7 @@ TEST_F(ChainTest, MiddleNodeCrashRecoversChain) {
 // events, and the offline inspector replays C's physical log image (after a
 // real crash/recovery cycle) with zero invariant violations. The trace dump
 // and the log image are exported to the working directory so CI can run
-// `msplog_inspect --self-check` over the same artifact and archive the trace.
+// `msplog --self-check` over the same artifact and archive the trace.
 TEST_F(ChainTest, DistributedTraceSpansChainAndLogImageSelfChecks) {
   Build("dom", "dom", "dom");
   env_.tracer().Clear();
@@ -270,7 +270,7 @@ TEST_F(ChainTest, DistributedTraceSpansChainAndLogImageSelfChecks) {
   std::vector<obs::RecoveryTimeline::SessionProvenance> prov;
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
-    prov = c_->RecoveryProvenance();
+    prov = c_->LastRecoveryTimeline().provenance;
     if (!prov.empty() && !prov[0].records.empty()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

@@ -5,7 +5,7 @@
 // bounded crash-generation / recovery-timeline history across many cycles.
 //
 // The chaos test exports its frozen bundle, live outage report, and raw log
-// image (msplog_outage_*.{json,bin}) so CI can drive the msplog_postmortem
+// image (msplog_outage_*.{json,bin}) so CTest and CI can drive the msplog
 // CLI over real artifacts.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,7 @@
 
 #include "audit/invariants.h"
 #include "harness/paper_workload.h"
-#include "msp/postmortem.h"
+#include "msp/log_inspect.h"
 #include "obs/flight_recorder.h"
 
 namespace msplog {
@@ -277,21 +277,17 @@ TEST(OutageObservatoryTest, ChaosCrashFatesAndMttrMatchGroundTruth) {
   EXPECT_LT(report.mttr.max_ms, r.elapsed_model_ms);
 
   // Offline cross-check: re-derive the fates from the raw log image alone
-  // (same inputs the msplog_postmortem CLI gets) and compare.
+  // (same inputs `msplog --bundle` gets) and compare.
   LogFile* log = w.msp2()->log();
   ASSERT_NE(log, nullptr);
-  PostmortemInput input;
-  input.actor = bundle.actor;
-  input.generation = bundle.generation;
-  input.crash_model_ms = bundle.frozen_at_ms;
-  input.durable_at_crash = snap.log_durable_lsn;
-  input.inflight_sessions = snap.inflight_sessions;
-  PostmortemReport offline;
-  ASSERT_TRUE(DerivePostmortem(log->disk(), log->file_name(), input, &offline)
-                  .ok());
-  ASSERT_EQ(offline.sessions.size(), report.sessions.size());
+  LogInspectOptions input;
+  input.crash = CrashFacts{snap.log_durable_lsn, snap.inflight_sessions};
+  LogInspectReport offline;
+  ASSERT_TRUE(
+      InspectLogImage(log->disk(), log->file_name(), input, &offline).ok());
+  ASSERT_EQ(offline.fates.size(), report.sessions.size());
   for (const auto& live : report.sessions) {
-    const PostmortemSessionFate* mine = offline.Find(live.session_id);
+    const auto* mine = offline.FindFate(live.session_id);
     ASSERT_NE(mine, nullptr) << live.session_id;
     EXPECT_EQ(mine->fate, live.fate) << live.session_id;
   }
@@ -365,15 +361,13 @@ TEST(OutageObservatoryTest, CrashOnFirstRequestLeavesSessionNeverLogged) {
 
   // The offline derivation agrees: no durable trace below the crash point.
   LogFile* log = w.msp2()->log();
-  PostmortemInput input;
-  input.actor = bundle.actor;
-  input.durable_at_crash = snap.log_durable_lsn;
-  input.inflight_sessions = snap.inflight_sessions;
-  PostmortemReport offline;
-  ASSERT_TRUE(DerivePostmortem(log->disk(), log->file_name(), input, &offline)
-                  .ok());
-  ASSERT_EQ(offline.sessions.size(), 1u);
-  EXPECT_EQ(offline.sessions[0].fate, "never-logged");
+  LogInspectOptions input;
+  input.crash = CrashFacts{snap.log_durable_lsn, snap.inflight_sessions};
+  LogInspectReport offline;
+  ASSERT_TRUE(
+      InspectLogImage(log->disk(), log->file_name(), input, &offline).ok());
+  ASSERT_EQ(offline.fates.size(), 1u);
+  EXPECT_EQ(offline.fates[0].fate, "never-logged");
   w.Shutdown();
 }
 

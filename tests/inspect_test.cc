@@ -1,7 +1,9 @@
 // Offline log/checkpoint inspector tests (msp/log_inspect.h): a real
 // workload's log image inspects cleanly — every record accounted, every
-// checkpoint blob decodable, zero invariant violations — and a corrupted
-// copy of the same image is detected instead of silently accepted.
+// checkpoint blob decodable, zero invariant violations — a corrupted copy
+// of the same image is detected instead of silently accepted, and crash
+// facts turn the same walk into a post-mortem that draws no verdict from
+// the prefix before a mid-log tear.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -54,6 +56,7 @@ class InspectTest : public ::testing::Test {
   void RunWorkloadWithCrash() {
     ClientEndpoint client(&env_, &net_, "cli");
     auto session = client.StartSession("m1");
+    session_id_ = session.session_id;
     Bytes reply;
     for (int i = 0; i < 12; ++i) {
       ASSERT_TRUE(
@@ -73,6 +76,7 @@ class InspectTest : public ::testing::Test {
   SimDisk disk_;
   DomainDirectory directory_;
   std::unique_ptr<Msp> msp_;
+  std::string session_id_;
 };
 
 TEST_F(InspectTest, CleanImagePassesEveryInvariant) {
@@ -82,6 +86,9 @@ TEST_F(InspectTest, CleanImagePassesEveryInvariant) {
   LogInspectOptions opts;
   opts.dump_records = true;
   opts.dump_checkpoints = true;
+  // Post-mortem over the same walk: everything in the image was durable at
+  // the "crash", and the bundle also names a session the log never saw.
+  opts.crash = CrashFacts{disk_.FileSize("m1.log"), {session_id_, "ghost"}};
   LogInspectReport report;
   std::string dump;
   ASSERT_TRUE(InspectLogImage(&disk_, "m1.log", opts, &report, &dump).ok());
@@ -105,6 +112,11 @@ TEST_F(InspectTest, CleanImagePassesEveryInvariant) {
   for (const auto& v : report.invariant_violations) {
     ADD_FAILURE() << "invariant violation: " << v;
   }
+  ASSERT_EQ(report.fates.size(), 2u);
+  EXPECT_EQ(report.FindFate(session_id_)->fate, "replayed");
+  EXPECT_EQ(report.FindFate(session_id_)->requests_logged,
+            report.records_by_type["RequestReceive"]);
+  EXPECT_EQ(report.FindFate("ghost")->fate, "never-logged");
 
   // The per-record dump names each record, and both renderings carry the
   // headline numbers.
@@ -115,11 +127,15 @@ TEST_F(InspectTest, CleanImagePassesEveryInvariant) {
   EXPECT_NE(summary.find("records: " + std::to_string(report.records)),
             std::string::npos);
   EXPECT_NE(summary.find("invariants: OK"), std::string::npos);
+  EXPECT_NE(summary.find("session " + session_id_ + ": replayed"),
+            std::string::npos);
   std::string json = report.ToJson();
   EXPECT_NE(json.find("\"records\":" + std::to_string(report.records)),
             std::string::npos);
   EXPECT_NE(json.find("\"invariant_violations\":[]"), std::string::npos);
   EXPECT_NE(json.find("\"torn_tail\":false"), std::string::npos);
+  EXPECT_NE(json.find("\"post_mortem\":{\"durable_at_crash\":"),
+            std::string::npos);
 }
 
 TEST_F(InspectTest, CorruptedCopyIsDetectedNotAccepted) {
@@ -168,12 +184,24 @@ TEST_F(InspectTest, MidLogTearFailsTheSelfCheck) {
   image[rec.lsn + 8] = static_cast<char>(image[rec.lsn + 8] ^ 0x01);
   ASSERT_TRUE(disk_.WriteAt("torn.log", 0, image).ok());
 
+  LogInspectOptions opts;
+  opts.crash = CrashFacts{size, {session_id_}};
   LogInspectReport report;
-  ASSERT_TRUE(
-      InspectLogImage(&disk_, "torn.log", LogInspectOptions(), &report).ok());
+  ASSERT_TRUE(InspectLogImage(&disk_, "torn.log", opts, &report).ok());
   EXPECT_EQ(report.torn_tail_lsn, rec.lsn);
+  EXPECT_TRUE(report.mid_log_tear);
   ASSERT_EQ(report.invariant_violations.size(), 1u);
   EXPECT_EQ(report.invariant_violations[0].rfind("mid-log tear", 0), 0u);
+  // The summary names the tear and does not call it normal.
+  const std::string summary = report.Summary();
+  EXPECT_NE(summary.find("mid-log tear at lsn " + std::to_string(rec.lsn)),
+            std::string::npos);
+  EXPECT_EQ(summary.find("normal after a crash"), std::string::npos);
+  // The readable prefix is empty, which would make the session look
+  // never-logged; no fate is derived from it.
+  ASSERT_EQ(report.fates.size(), 1u);
+  EXPECT_EQ(report.fates[0].fate, "unknown");
+  EXPECT_EQ(report.fates[0].requests_logged, 0u);
 }
 
 TEST_F(InspectTest, StatsReconstructsPerSessionCountsFromTheImage) {

@@ -17,7 +17,6 @@
 #include "log/log_file.h"
 #include "msp/log_inspect.h"
 #include "msp/msp.h"
-#include "msp/postmortem.h"
 #include "msp/service_domain.h"
 #include "rpc/client_endpoint.h"
 #include "sim/sim_disk.h"
@@ -175,7 +174,7 @@ TEST_F(InstantRestartTest, RecrashDuringIncrementalRecovery) {
   }
   EXPECT_EQ(report.mttr.count, 5u);
 
-  // Offline cross-check (the msplog_postmortem --report contract): re-derive
+  // Offline cross-check (the `msplog --report` contract): re-derive
   // every fate from the frozen flight bundle + raw log image alone. The
   // re-crash-during-recovery log must tell the same story as the live join.
   const obs::FlightBundle bundle =
@@ -184,18 +183,13 @@ TEST_F(InstantRestartTest, RecrashDuringIncrementalRecovery) {
   EXPECT_EQ(bundle.generation, 2u);  // the mid-drain crash
   ASSERT_FALSE(bundle.snapshots.empty());
   const obs::FlightSnapshot& snap = bundle.snapshots.back().second;
-  PostmortemInput input;
-  input.actor = bundle.actor;
-  input.generation = bundle.generation;
-  input.crash_model_ms = bundle.frozen_at_ms;
-  input.durable_at_crash = snap.log_durable_lsn;
-  input.inflight_sessions = snap.inflight_sessions;
-  PostmortemReport offline;
+  LogInspectOptions input;
+  input.crash = CrashFacts{snap.log_durable_lsn, snap.inflight_sessions};
+  LogInspectReport offline;
   ASSERT_TRUE(
-      DerivePostmortem(&disk_, msp_->log()->file_name(), input, &offline)
-          .ok());
+      InspectLogImage(&disk_, msp_->log()->file_name(), input, &offline).ok());
   for (const auto& live : report.sessions) {
-    const PostmortemSessionFate* mine = offline.Find(live.session_id);
+    const auto* mine = offline.FindFate(live.session_id);
     ASSERT_NE(mine, nullptr) << live.session_id;
     EXPECT_EQ(mine->fate, live.fate) << live.session_id;
   }

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -12,6 +11,7 @@
 #include "msp/msp.h"
 #include "msp/service_domain.h"
 #include "obs/blame.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/scraper.h"
 #include "obs/session_stats.h"
@@ -529,7 +529,7 @@ TEST_F(StatsTest, RecoveryProvenanceNamesTheRecordsThatRebuiltTheSession) {
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   std::vector<obs::RecoveryTimeline::SessionProvenance> prov;
   while (std::chrono::steady_clock::now() < deadline) {
-    prov = alpha_->RecoveryProvenance();
+    prov = alpha_->LastRecoveryTimeline().provenance;
     if (!prov.empty()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -692,123 +692,15 @@ TEST_F(StatsTest, SessionTelemetryCountsReplaysOnFreshRecord) {
 }
 
 // ---------------------------------------------------------------------------
-// Strict mini JSON parser: every machine-readable dump must parse with NO
-// leniency (no trailing garbage, no NaN/inf leaking out of %g, balanced
-// structure). Substring checks alone would never catch a malformed dump.
-
-size_t JsonValue(const std::string& s, size_t i);
-
-size_t JsonWs(const std::string& s, size_t i) {
-  while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
-                          s[i] == '\r')) {
-    ++i;
-  }
-  return i;
-}
-
-size_t JsonString(const std::string& s, size_t i) {
-  if (i >= s.size() || s[i] != '"') return std::string::npos;
-  ++i;
-  while (i < s.size()) {
-    if (s[i] == '\\') {
-      if (i + 1 >= s.size()) return std::string::npos;
-      i += 2;
-    } else if (s[i] == '"') {
-      return i + 1;
-    } else {
-      ++i;
-    }
-  }
-  return std::string::npos;
-}
-
-size_t JsonNumber(const std::string& s, size_t i) {
-  size_t start = i;
-  if (i < s.size() && s[i] == '-') ++i;
-  size_t digits = i;
-  while (i < s.size() && isdigit(static_cast<unsigned char>(s[i]))) ++i;
-  if (i == digits) return std::string::npos;  // rejects nan/inf too
-  if (i < s.size() && s[i] == '.') {
-    ++i;
-    size_t frac = i;
-    while (i < s.size() && isdigit(static_cast<unsigned char>(s[i]))) ++i;
-    if (i == frac) return std::string::npos;
-  }
-  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
-    ++i;
-    if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
-    size_t exp = i;
-    while (i < s.size() && isdigit(static_cast<unsigned char>(s[i]))) ++i;
-    if (i == exp) return std::string::npos;
-  }
-  return i > start ? i : std::string::npos;
-}
-
-size_t JsonObject(const std::string& s, size_t i) {
-  ++i;  // '{'
-  i = JsonWs(s, i);
-  if (i < s.size() && s[i] == '}') return i + 1;
-  while (true) {
-    i = JsonString(s, JsonWs(s, i));
-    if (i == std::string::npos) return std::string::npos;
-    i = JsonWs(s, i);
-    if (i >= s.size() || s[i] != ':') return std::string::npos;
-    i = JsonValue(s, i + 1);
-    if (i == std::string::npos) return std::string::npos;
-    i = JsonWs(s, i);
-    if (i < s.size() && s[i] == ',') {
-      ++i;
-    } else if (i < s.size() && s[i] == '}') {
-      return i + 1;
-    } else {
-      return std::string::npos;
-    }
-  }
-}
-
-size_t JsonArray(const std::string& s, size_t i) {
-  ++i;  // '['
-  i = JsonWs(s, i);
-  if (i < s.size() && s[i] == ']') return i + 1;
-  while (true) {
-    i = JsonValue(s, i);
-    if (i == std::string::npos) return std::string::npos;
-    i = JsonWs(s, i);
-    if (i < s.size() && s[i] == ',') {
-      ++i;
-    } else if (i < s.size() && s[i] == ']') {
-      return i + 1;
-    } else {
-      return std::string::npos;
-    }
-  }
-}
-
-size_t JsonValue(const std::string& s, size_t i) {
-  i = JsonWs(s, i);
-  if (i >= s.size()) return std::string::npos;
-  switch (s[i]) {
-    case '{': return JsonObject(s, i);
-    case '[': return JsonArray(s, i);
-    case '"': return JsonString(s, i);
-    case 't': return s.compare(i, 4, "true") == 0 ? i + 4 : std::string::npos;
-    case 'f': return s.compare(i, 5, "false") == 0 ? i + 5 : std::string::npos;
-    case 'n': return s.compare(i, 4, "null") == 0 ? i + 4 : std::string::npos;
-    default:  return JsonNumber(s, i);
-  }
-}
+// Every machine-readable dump must parse with the strict reader (no trailing
+// garbage, no NaN/inf leaking out of %g, balanced structure). Substring
+// checks alone would never catch a malformed dump.
 
 ::testing::AssertionResult JsonStrict(const std::string& s) {
-  size_t end = JsonValue(s, 0);
-  if (end == std::string::npos) {
-    return ::testing::AssertionFailure() << "JSON parse error in: " << s;
-  }
-  end = JsonWs(s, end);
-  if (end != s.size()) {
-    return ::testing::AssertionFailure()
-           << "trailing garbage at offset " << end << ": " << s.substr(end);
-  }
-  return ::testing::AssertionSuccess();
+  obs::JsonValue v;
+  Status st = obs::ParseJson(s, &v);
+  if (st.ok()) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << st.ToString() << " in: " << s;
 }
 
 TEST(JsonStrictTest, RejectsMalformedDocuments) {
@@ -819,6 +711,25 @@ TEST(JsonStrictTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(JsonStrict("{\"a\":1} trailing"));
   EXPECT_FALSE(JsonStrict("{\"a\":}"));
   EXPECT_FALSE(JsonStrict("[1,2"));
+  EXPECT_FALSE(JsonStrict("[1,]"));
+  EXPECT_FALSE(JsonStrict("{\"a\":01}"));
+  EXPECT_FALSE(JsonStrict("{\"a\":1,\"a\":2}"));
+  EXPECT_FALSE(JsonStrict("[\"raw\ttab\"]"));
+  EXPECT_TRUE(JsonStrict(" [-0.5E+2,true,false,null,\"\\u00e9\"] "));
+}
+
+TEST(JsonStrictTest, ReadsTheValuesItAccepts) {
+  obs::JsonValue v;
+  ASSERT_TRUE(obs::ParseJson("{\"n\":-2.5e1,\"s\":\"\\u00e9\\u20ac\","
+                             "\"a\":[true,null]}",
+                             &v)
+                  .ok());
+  EXPECT_EQ(v.Get("n")->number, -25.0);
+  EXPECT_EQ(v.Get("s")->str, "\xc3\xa9\xe2\x82\xac");
+  ASSERT_EQ(v.Get("a")->array.size(), 2u);
+  EXPECT_TRUE(v.Get("a")->array[0].boolean);
+  EXPECT_EQ(v.Get("a")->array[1].kind, obs::JsonValue::Kind::kNull);
+  EXPECT_EQ(v.Get("missing"), nullptr);
 }
 
 TEST_F(StatsTest, DumpStatuszAndTelemetryDumpsParseStrictly) {
