@@ -258,7 +258,8 @@ void RunInstantQuick() {
   EmitInstantPoint("InstantQuick", p);
 }
 
-void RunInstant() {
+/// Returns the number of failed shape checks.
+int RunInstant() {
   bench::Header("bench_recovery_time --instant",
                 "per-session time-to-servable vs full-drain recovery time: "
                 "hot sessions are admitted by on-demand replay while the "
@@ -278,8 +279,10 @@ void RunInstant() {
   }
 
   printf("\nshape checks:\n");
-  auto check = [](const char* what, bool ok) {
+  int failures = 0;
+  auto check = [&failures](const char* what, bool ok) {
     printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
+    if (!ok) ++failures;
   };
   const InstantPoint& big = points[1];  // largest log size
   check("server opens before the drain finishes (open << full drain)",
@@ -293,6 +296,7 @@ void RunInstant() {
         points[0].outage.complete && points[1].outage.complete &&
             points[0].outage.mttr.count == points[0].sessions &&
             points[1].outage.mttr.count == points[1].sessions);
+  return failures;
 }
 
 void RunQuick() {
@@ -308,7 +312,8 @@ void RunQuick() {
   EmitPoint("64KB", p);
 }
 
-void Run() {
+/// Returns the number of failed shape checks.
+int Run() {
   bench::Header("bench_recovery_time",
                 "recovery cost vs checkpoint threshold (600 requests, then "
                 "crash MSP1): scan + parallel replay, model ms");
@@ -342,8 +347,10 @@ void Run() {
   table.Print();
 
   printf("\nshape checks:\n");
-  auto check = [](const char* what, bool ok) {
+  int failures = 0;
+  auto check = [&failures](const char* what, bool ok) {
     printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
+    if (!ok) ++failures;
   };
   check("replay work shrinks monotonically with the checkpoint threshold",
         results[0].replayed >= results[1].replayed &&
@@ -363,6 +370,7 @@ void Run() {
                  p.outage.mttr.count >= 1 && p.outage.mttr.mean_ms > 0;
   }
   check("outage report complete at every threshold (MTTR > 0)", outage_ok);
+  return failures;
 }
 
 }  // namespace
@@ -375,14 +383,16 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
     if (std::strcmp(argv[i], "--instant") == 0) instant = true;
   }
+  // A failed shape check fails the run.
+  int failures = 0;
   if (quick && instant) {
     msplog::RunInstantQuick();
   } else if (instant) {
-    msplog::RunInstant();
+    failures = msplog::RunInstant();
   } else if (quick) {
     msplog::RunQuick();
   } else {
-    msplog::Run();
+    failures = msplog::Run();
   }
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

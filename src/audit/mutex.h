@@ -77,8 +77,6 @@ class CAPABILITY("mutex") Mutex {
         id_, /*shared_ok=*/false);
   }
 
-  LockId audit_id() const { return id_; }
-
  private:
   std::mutex mu_;
   LockId id_;
@@ -136,8 +134,6 @@ class CAPABILITY("shared_mutex") SharedMutex {
     LockOrderRegistry::Instance().AssertHeldByThisThread(
         id_, /*shared_ok=*/true);
   }
-
-  LockId audit_id() const { return id_; }
 
  private:
   std::shared_mutex mu_;
@@ -230,7 +226,6 @@ class SCOPED_CAPABILITY UniqueLock {
     owned_ = false;
     mu_.unlock();
   }
-  bool owns_lock() const { return owned_; }
 
  private:
   Mutex& mu_;

@@ -151,13 +151,3 @@ class StatusOr {
     ::msplog::Status _st = (expr);            \
     if (!_st.ok()) return _st;                \
   } while (0)
-
-/// Evaluate a StatusOr expression, propagating error or binding the value.
-#define MSPLOG_ASSIGN_OR_RETURN(lhs, expr)    \
-  auto MSPLOG_CONCAT_(_sor_, __LINE__) = (expr);            \
-  if (!MSPLOG_CONCAT_(_sor_, __LINE__).ok())                \
-    return MSPLOG_CONCAT_(_sor_, __LINE__).status();        \
-  lhs = std::move(MSPLOG_CONCAT_(_sor_, __LINE__)).value()
-
-#define MSPLOG_CONCAT_IMPL_(a, b) a##b
-#define MSPLOG_CONCAT_(a, b) MSPLOG_CONCAT_IMPL_(a, b)

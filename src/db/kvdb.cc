@@ -105,6 +105,4 @@ size_t KvDb::KeyCount() const {
   return table_.size();
 }
 
-uint64_t KvDb::WalBytes() const { return disk_->FileSize(wal_file_); }
-
 }  // namespace msplog

@@ -49,7 +49,6 @@ class KvDb {
   Status TxnDelete(const std::string& key);
 
   size_t KeyCount() const;
-  uint64_t WalBytes() const;
 
  private:
   Status AppendWal(uint8_t op, const std::string& key, ByteView value);

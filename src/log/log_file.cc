@@ -11,19 +11,12 @@
 namespace msplog {
 
 namespace {
-constexpr size_t kFrameHeaderBytes = 8;  // u32 len + u32 masked crc
 /// Fresh arenas start small and grow geometrically (quiescent grows only);
 /// the working set of a light log stays a few pages.
 constexpr size_t kInitialArenaBytes = 64 * 1024;
 /// Bound on simultaneously live arenas (active + filled + writing + free):
 /// appenders wait (backpressure) rather than allocate past this.
 constexpr size_t kMaxArenas = 4;
-
-void PutU32At(Bytes* buf, size_t pos, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    (*buf)[pos + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-}
 
 void PutU32Raw(char* dst, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -39,14 +32,6 @@ uint32_t GetU32At(ByteView buf, size_t pos) {
   return v;
 }
 }  // namespace
-
-Bytes FrameRecord(ByteView body) {
-  Bytes frame(kFrameHeaderBytes, '\0');
-  PutU32At(&frame, 0, static_cast<uint32_t>(body.size()));
-  PutU32At(&frame, 4, crc32c::Mask(crc32c::Compute(body)));
-  frame.append(body.data(), body.size());
-  return frame;
-}
 
 Status ParseFrame(ByteView data, size_t pos, ByteView* body_out,
                   size_t* frame_len) {

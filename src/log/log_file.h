@@ -288,8 +288,8 @@ class LogFile {
   std::thread writer_thread_;
 };
 
-/// Build the on-disk frame for an encoded record body.
-Bytes FrameRecord(ByteView body);
+/// Bytes of a frame header: u32 body length + u32 masked CRC32C.
+constexpr size_t kFrameHeaderBytes = 8;
 
 /// Parse a frame at `data[pos...]`. On success sets `*body_out` and
 /// `*frame_len`. A zero length prefix yields Status::NotFound (padding).

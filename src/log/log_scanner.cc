@@ -3,88 +3,42 @@
 #include <algorithm>
 
 #include "audit/invariants.h"
-#include "common/crc32c.h"
-#include "log/log_file.h"
+#include "log/log_file.h"  // kFrameHeaderBytes
 
 namespace msplog {
 
 LogScanner::LogScanner(SimDisk* disk, std::string file, uint64_t start_lsn,
-                       uint64_t durable_size)
-    : disk_(disk),
-      file_(std::move(file)),
+                       uint64_t durable_size, LogImage* keep)
+    : file_(std::move(file)),
+      reader_(disk, file_, std::min(durable_size, disk->FileSize(file_)),
+              /*image=*/nullptr, keep),
       pos_(start_lsn),
-      durable_size_(std::min(durable_size, disk_->FileSize(file_))),
-      sector_bytes_(disk_->geometry().sector_bytes) {}
-
-Status LogScanner::FillTo(uint64_t end) {
-  // Ensure chunk_ covers [pos_, end). Reads in kChunkBytes units.
-  if (pos_ >= chunk_base_ && end <= chunk_base_ + chunk_.size()) {
-    return Status::OK();
-  }
-  chunk_base_ = pos_;
-  uint64_t want = std::max<uint64_t>(end - pos_, kChunkBytes);
-  want = std::min(want, durable_size_ - pos_);
-  return disk_->ReadAt(file_, chunk_base_, want, &chunk_);
-}
+      sector_bytes_(disk->geometry().sector_bytes) {}
 
 Status LogScanner::Next(LogRecord* out) {
   while (true) {
-    if (sector_bytes_ - pos_ % sector_bytes_ < 8) {
+    if (sector_bytes_ - pos_ % sector_bytes_ < kFrameHeaderBytes) {
       // Sector-tail rule (log_file.h): no frame starts here.
-      pos_ = (pos_ / sector_bytes_ + 1) * sector_bytes_;
+      pos_ = NextSector(pos_);
     }
-    if (pos_ + 8 > durable_size_) return Status::NotFound("end of log");
-    MSPLOG_RETURN_IF_ERROR(FillTo(pos_ + 8));
-    if (chunk_.size() < pos_ - chunk_base_ + 8) {
+    if (pos_ + kFrameHeaderBytes > reader_.limit()) {
       return Status::NotFound("end of log");
     }
-    ByteView view(chunk_);
     ByteView body;
     size_t frame_len = 0;
-    Status st = ParseFrame(view, pos_ - chunk_base_, &body, &frame_len);
+    Status st = reader_.Frame(pos_, &body, &frame_len);
     if (st.IsNotFound()) {
       // Padding: skip to the next sector boundary.
-      pos_ = (pos_ / sector_bytes_ + 1) * sector_bytes_;
+      pos_ = NextSector(pos_);
       continue;
     }
     if (st.IsCorruption()) {
-      // The frame may just straddle the chunk edge; refill from pos_ and
-      // retry once with the full remaining extent.
-      uint64_t len_hint = 0;
-      if (pos_ - chunk_base_ + 4 <= chunk_.size()) {
-        for (int i = 0; i < 4; ++i) {
-          len_hint |= static_cast<uint64_t>(static_cast<uint8_t>(
-                          chunk_[pos_ - chunk_base_ + i]))
-                      << (8 * i);
-        }
-      }
-      uint64_t need_end = pos_ + 8 + len_hint;
-      if (need_end <= durable_size_ && need_end > chunk_base_ + chunk_.size()) {
-        MSPLOG_RETURN_IF_ERROR(FillTo(need_end));
-        st = ParseFrame(ByteView(chunk_), pos_ - chunk_base_, &body,
-                        &frame_len);
-        if (st.IsNotFound()) {
-          pos_ = (pos_ / sector_bytes_ + 1) * sector_bytes_;
-          continue;
-        }
-      }
-      if (!st.ok()) {
-        if (st.IsCorruption()) {
-          audit::InvariantRegistry::Instance().Note(
-              "log.crc-reject", file_ + " @" + std::to_string(pos_) + ": " +
-                                    st.ToString());
-        }
-        return st;
-      }
-    } else if (!st.ok()) {
-      if (st.IsCorruption()) {
-        audit::InvariantRegistry::Instance().Note(
-            "log.crc-reject",
-            file_ + " @" + std::to_string(pos_) + ": " + st.ToString());
-      }
-      return st;
+      audit::InvariantRegistry::Instance().Note(
+          "log.crc-reject",
+          file_ + " @" + std::to_string(pos_) + ": " + st.ToString());
     }
-    uint64_t lsn = pos_;
+    MSPLOG_RETURN_IF_ERROR(st);
+    const uint64_t lsn = pos_;
     MSPLOG_RETURN_IF_ERROR(LogRecord::Decode(body, out));
     out->lsn = lsn;
     audit::CheckLsnAdvance("scan " + file_, last_returned_end_, lsn);
@@ -92,6 +46,21 @@ Status LogScanner::Next(LogRecord* out) {
     last_returned_end_ = pos_;
     return Status::OK();
   }
+}
+
+uint64_t LogScanner::FirstValidFrameAfter(uint64_t torn_lsn) {
+  for (uint64_t pos = NextSector(torn_lsn);
+       pos + kFrameHeaderBytes <= reader_.limit();
+       pos = NextSector(pos)) {
+    ByteView body;
+    size_t frame_len = 0;
+    LogRecord rec;
+    if (reader_.Frame(pos, &body, &frame_len).ok() &&
+        LogRecord::Decode(body, &rec).ok()) {
+      return pos;
+    }
+  }
+  return 0;
 }
 
 }  // namespace msplog

@@ -1,17 +1,22 @@
 #include "msp/exec_context.h"
 
-#include <algorithm>
-
-#include "log/log_scanner.h"
-
 namespace msplog {
 
 // ---------------------------------------------------------------------------
 // ReplayCursor
 // ---------------------------------------------------------------------------
 
-ReplayCursor::ReplayCursor(LogFile* log, std::vector<uint64_t> positions)
-    : log_(log), positions_(std::move(positions)) {}
+ReplayCursor::ReplayCursor(LogFile* log, std::shared_ptr<const LogImage> image,
+                           std::vector<uint64_t> positions)
+    : log_(log),
+      reader_(log->disk(), log->file_name(), UINT64_MAX, std::move(image)),
+      positions_(std::move(positions)) {}
+
+Status ReplayCursor::ReadAt(uint64_t lsn, LogRecord* out) {
+  // Still in the volatile buffer: a memory read.
+  if (lsn >= log_->durable_lsn()) return log_->ReadRecordAt(lsn, out);
+  return reader_.ReadRecordAt(lsn, out);
+}
 
 Status ReplayCursor::Peek(LogRecord* out) {
   if (!HasNext()) return Status::NotFound("cursor exhausted");
@@ -20,13 +25,7 @@ Status ReplayCursor::Peek(LogRecord* out) {
     *out = cached_rec_;
     return Status::OK();
   }
-  Status st;
-  if (lsn >= log_->durable_lsn()) {
-    // Still in the volatile buffer: a memory read.
-    st = log_->ReadRecordAt(lsn, out);
-  } else {
-    st = ReadDurable(lsn, out);
-  }
+  Status st = ReadAt(lsn, out);
   if (st.ok()) {
     cached_ = true;
     cached_rec_ = *out;
@@ -37,45 +36,6 @@ Status ReplayCursor::Peek(LogRecord* out) {
 void ReplayCursor::Skip() {
   ++idx_;
   cached_ = false;
-}
-
-Status ReplayCursor::ReadDurable(uint64_t lsn, LogRecord* out) {
-  SimDisk* disk = log_->disk();
-  const std::string& file = log_->file_name();
-  auto ensure = [&](uint64_t need_end) -> Status {
-    if (chunk_valid_ && lsn >= chunk_base_ &&
-        need_end <= chunk_base_ + chunk_.size()) {
-      return Status::OK();
-    }
-    chunk_base_ = lsn;
-    uint64_t want = std::max<uint64_t>(LogScanner::kChunkBytes, need_end - lsn);
-    MSPLOG_RETURN_IF_ERROR(disk->ReadAt(file, chunk_base_, want, &chunk_));
-    chunk_valid_ = true;
-    return Status::OK();
-  };
-  MSPLOG_RETURN_IF_ERROR(ensure(lsn + 8));
-  if (chunk_.size() < lsn - chunk_base_ + 8) {
-    return Status::Corruption("position beyond durable log");
-  }
-  // Read the frame length to make sure the whole record is in the chunk.
-  uint64_t off = lsn - chunk_base_;
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(static_cast<uint8_t>(chunk_[off + i]))
-           << (8 * i);
-  }
-  MSPLOG_RETURN_IF_ERROR(ensure(lsn + 8 + len));
-  ByteView body;
-  size_t frame_len = 0;
-  Status st = ParseFrame(ByteView(chunk_), lsn - chunk_base_, &body,
-                         &frame_len);
-  if (st.IsNotFound()) {
-    return Status::Corruption("position points at log padding");
-  }
-  MSPLOG_RETURN_IF_ERROR(st);
-  MSPLOG_RETURN_IF_ERROR(LogRecord::Decode(body, out));
-  out->lsn = lsn;
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -155,7 +115,7 @@ Status ExecContext::ReadShared(const std::string& name, Bytes* out) {
       // normal execution.
       s_->state_number = rec.lsn;
       s_->dv.Set(msp_->config().id, StateId{msp_->epoch(), rec.lsn});
-      if (rec.has_dv) s_->dv.Merge(rec.dv);
+      if (rec.has_dv) msp_->MergeDv(s_, rec.dv);
       *out = rec.payload;
       return Status::OK();
     }
@@ -185,7 +145,7 @@ Status ExecContext::UpdateShared(const std::string& name,
       // deterministic `fn` re-derives the value the method continued with.
       s_->state_number = rec.lsn;
       s_->dv.Set(msp_->config().id, StateId{msp_->epoch(), rec.lsn});
-      if (rec.has_dv) s_->dv.Merge(rec.dv);
+      if (rec.has_dv) msp_->MergeDv(s_, rec.dv);
       Bytes result = fn(rec.payload);
       if (out) *out = std::move(result);
       return Status::OK();
@@ -213,7 +173,7 @@ Status ExecContext::Call(const std::string& target_msp,
       o.next_seqno = rec.seqno + 1;
       s_->state_number = rec.lsn;
       s_->dv.Set(msp_->config().id, StateId{msp_->epoch(), rec.lsn});
-      if (rec.has_dv) s_->dv.Merge(rec.dv);
+      if (rec.has_dv) msp_->MergeDv(s_, rec.dv);
       *reply = rec.payload;
       if (static_cast<ReplyCode>(rec.aux) == ReplyCode::kAppError) {
         return Status::Aborted("remote application error: " + *reply);

@@ -16,12 +16,14 @@
 // exactly-once semantics for the in-flight request.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
 #include "log/log_file.h"
+#include "log/log_image.h"
 #include "log/log_record.h"
 #include "msp/msp.h"
 #include "msp/service_context.h"
@@ -29,31 +31,34 @@
 
 namespace msplog {
 
-/// Iterates a session's log records along its position stream, reading the
-/// durable region in 64 KB chunks (one disk read can serve many records —
-/// the efficiency the paper measures in §5.4) and the volatile buffer
-/// directly.
+/// Iterates a session's log records along its position stream. Records
+/// still in the volatile buffer are read from memory; durable ones come
+/// through one LogReader, which takes them from the recovery's log image
+/// when there is one (log_image.h: the analysis scan already read those
+/// bytes) and otherwise reads 64 KB chunks from disk, so one disk read can
+/// serve many records (§5.4).
 class ReplayCursor {
  public:
-  ReplayCursor(LogFile* log, std::vector<uint64_t> positions);
+  ReplayCursor(LogFile* log, std::shared_ptr<const LogImage> image,
+               std::vector<uint64_t> positions);
 
   bool HasNext() const { return idx_ < positions_.size(); }
   /// Read (without consuming) the record at the current position.
   Status Peek(LogRecord* out);
   void Skip();
-  uint64_t CurrentLsn() const { return positions_[idx_]; }
   /// Number of positions consumed (Skipped) so far — replay provenance.
   size_t consumed() const { return idx_; }
 
- private:
-  Status ReadDurable(uint64_t lsn, LogRecord* out);
+  /// Read the record at any `lsn` through the same path (the session
+  /// checkpoint replay starts from).
+  Status ReadAt(uint64_t lsn, LogRecord* out);
+  const LogReadStats& read_stats() const { return reader_.stats(); }
 
+ private:
   LogFile* log_;
+  LogReader reader_;
   std::vector<uint64_t> positions_;
   size_t idx_ = 0;
-  Bytes chunk_;
-  uint64_t chunk_base_ = 0;
-  bool chunk_valid_ = false;
   bool cached_ = false;
   LogRecord cached_rec_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "log/log_file.h"  // ParseFrame
 #include "log/log_record.h"
 #include "log/log_scanner.h"
 #include "msp/msp_checkpoint_format.h"
@@ -27,29 +26,6 @@ struct RequestRef {
 };
 
 std::string Lsn(uint64_t v) { return std::to_string(v); }
-
-/// First sector boundary in (torn_lsn, durable) holding a frame that parses
-/// and decodes as a record; 0 when there is none. Frames after a torn tail
-/// mean the scan stopped mid-log and silently lost everything behind it.
-uint64_t FirstValidFrameAfter(SimDisk* disk, const std::string& file,
-                              uint64_t torn_lsn, uint64_t durable) {
-  const uint32_t sector = disk->geometry().sector_bytes;
-  const uint64_t from = (torn_lsn / sector + 1) * sector;
-  Bytes tail;
-  if (from >= durable || !disk->ReadAt(file, from, durable - from, &tail).ok()) {
-    return 0;
-  }
-  for (size_t pos = 0; pos < tail.size(); pos += sector) {
-    ByteView body;
-    size_t frame_len = 0;
-    LogRecord rec;
-    if (ParseFrame(ByteView(tail), pos, &body, &frame_len).ok() &&
-        LogRecord::Decode(body, &rec).ok()) {
-      return from + pos;
-    }
-  }
-  return 0;
-}
 
 }  // namespace
 
@@ -209,9 +185,8 @@ Status InspectLogImage(SimDisk* disk, const std::string& file,
     if (st.IsCorruption()) {
       report->torn_tail = true;
       report->torn_tail_lsn = scanner.next_lsn();
-      if (uint64_t later = FirstValidFrameAfter(disk, file,
-                                                report->torn_tail_lsn,
-                                                durable)) {
+      if (uint64_t later =
+              scanner.FirstValidFrameAfter(report->torn_tail_lsn)) {
         report->mid_log_tear = true;
         report->invariant_violations.push_back(
             "mid-log tear: corrupt frame at " + Lsn(report->torn_tail_lsn) +

@@ -237,8 +237,9 @@ void Msp::CrashLocked(bool is_crash) {
 
   // Everything volatile dies with the process. The SimDisk content — the
   // durable log prefix, position-stream files, the anchor, kvdb WAL —
-  // survives for the next Start().
+  // survives for the next Start(), which scans it into a fresh log image.
   log_.reset();
+  if (recovery_coordinator_) recovery_coordinator_->DropImage();
   {
     audit::LockGuard lk(sessions_mu_);
     sessions_.clear();
@@ -573,7 +574,7 @@ Status Msp::ProcessRequestLogBased(Session* s, const Message& m,
       rec.dv = m.dv;
     }
     AppendSessionRecord(s, std::move(rec));
-    if (m.has_dv) s->dv.Merge(m.dv);
+    if (m.has_dv) MergeDv(s, m.dv);
   }
 
   // Execute the service method.
@@ -649,14 +650,14 @@ Status Msp::SendReply(Session* s, ReplyCode code, const Bytes& payload,
         dv_wire = &s->CachedDvWire();
         env_->stats().dv_entries_attached.fetch_add(s->dv.entry_count());
       } else {
-        r.dv = MspWideDv();
+        r.dv = MspWideDv(s);
         env_->stats().dv_entries_attached.fetch_add(r.dv.entry_count());
       }
       s->stats.OnPiggybackedSend();
     } else {
       // Pessimistic: output messages must never become orphans (§2.3).
       DependencyVector flush_dv =
-          config_.per_session_dv ? s->dv : MspWideDv();
+          config_.per_session_dv ? s->dv : MspWideDv(s);
       MSPLOG_RETURN_IF_ERROR(DistributedFlush(flush_dv, span, s));
       audit::CheckWalBeforeSend("reply to " + s->client, config_.id,
                                 epoch_.load(), flush_dv,
@@ -741,7 +742,7 @@ Status Msp::SharedReadImpl(Session* s, const std::string& name, Bytes* out) {
     rec.has_dv = true;
     rec.dv = var->dv;
     AppendSessionRecord(s, rec);
-    s->dv.Merge(var->dv);
+    MergeDv(s, var->dv);
     *out = var->value;
     return Status::OK();
   }
@@ -752,7 +753,7 @@ Status Msp::SharedReadImpl(Session* s, const std::string& name, Bytes* out) {
   rec.has_dv = true;
   rec.dv = var->dv;
   AppendSessionRecord(s, rec);
-  s->dv.Merge(var->dv);
+  MergeDv(s, var->dv);
   *out = var->value;
   return Status::OK();
 }
@@ -841,7 +842,7 @@ Status Msp::SharedUpdateImpl(Session* s, const std::string& name,
   read.has_dv = true;
   read.dv = var->dv;
   AppendSessionRecord(s, read);
-  s->dv.Merge(var->dv);
+  MergeDv(s, var->dv);
 
   Bytes newval = fn(var->value);
 
@@ -1039,7 +1040,7 @@ Status Msp::OutgoingCallImpl(Session* s, const std::string& target,
         dv_wire = &s->CachedDvWire();
         env_->stats().dv_entries_attached.fetch_add(s->dv.entry_count());
       } else {
-        req.dv = MspWideDv();
+        req.dv = MspWideDv(s);
         env_->stats().dv_entries_attached.fetch_add(req.dv.entry_count());
       }
       s->stats.OnPiggybackedSend();
@@ -1047,7 +1048,7 @@ Status Msp::OutgoingCallImpl(Session* s, const std::string& target,
       // Pessimistic leg: flush our dependencies before the message leaves
       // the service domain (Fig. 7, "before send, across service domains").
       DependencyVector flush_dv =
-          config_.per_session_dv ? s->dv : MspWideDv();
+          config_.per_session_dv ? s->dv : MspWideDv(s);
       MSPLOG_RETURN_IF_ERROR(DistributedFlush(flush_dv, parent_span, s));
       audit::CheckWalBeforeSend("call to " + target, config_.id,
                                 epoch_.load(), flush_dv,
@@ -1074,7 +1075,7 @@ Status Msp::OutgoingCallImpl(Session* s, const std::string& target,
       rec.dv = rep.dv;
     }
     AppendSessionRecord(s, rec);
-    if (rep.has_dv) s->dv.Merge(rep.dv);
+    if (rep.has_dv) MergeDv(s, rep.dv);
   }
   o.next_seqno = seqno + 1;
   *reply = rep.payload;
@@ -1360,11 +1361,19 @@ bool Msp::DvIsOrphan(const DependencyVector& dv) const {
   return recovered_table_.IsOrphanDv(dv);
 }
 
-DependencyVector Msp::MspWideDv() const {
+void Msp::PublishDv(const Session* s) const {
+  if (config_.per_session_dv) return;
+  audit::LockGuard lk(wide_dv_mu_);
+  s->published_dv = s->dv;
+}
+
+DependencyVector Msp::MspWideDv(const Session* self) const {
+  PublishDv(self);
   DependencyVector all;
   audit::LockGuard lk(sessions_mu_);
+  audit::LockGuard dlk(wide_dv_mu_);
   for (const auto& [id, sess] : sessions_) {
-    if (!sess->ended) all.Merge(sess->dv);
+    if (!sess->ended) all.Merge(sess->published_dv);
   }
   return all;
 }
@@ -1373,7 +1382,7 @@ bool Msp::SessionIsOrphan(const Session* s) const {
   if (!config_.per_session_dv) {
     // §3.2 strawman: one DV for the whole MSP — if ANY session carries an
     // orphan dependency, every session is considered orphan and rolls back.
-    return DvIsOrphan(MspWideDv());
+    return DvIsOrphan(MspWideDv(s));
   }
   return DvIsOrphan(s->dv);
 }
@@ -1696,6 +1705,16 @@ std::string Msp::DumpStatusz() const {
     size_t n = recovery_history_.size() +
                (last_recovery_timeline_.epoch != 0 ? 1 : 0);
     out += "\"recoveries\":" + std::to_string(n) + ",";
+    // The last recovery's read path: what its scan read, what it kept as
+    // the log image, and what replay read from the image or the disk.
+    const obs::RecoveryTimeline& tl = last_recovery_timeline_;
+    out += "\"last_recovery_reads\":{\"analysis_disk_reads\":" +
+           std::to_string(tl.analysis_disk_reads) +
+           ",\"image_bytes\":" + std::to_string(tl.image_bytes) +
+           ",\"replay_disk_reads\":" + std::to_string(tl.replay_disk_reads) +
+           ",\"replay_disk_bytes\":" + std::to_string(tl.replay_disk_bytes) +
+           ",\"replay_image_frames\":" +
+           std::to_string(tl.replay_image_frames) + "},";
     out += "\"last_outage_report\":" + last_outage_report_.ToJson() + ",";
   }
   out += "\"crash_generation\":" + std::to_string(crash_generation_.load()) +

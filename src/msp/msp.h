@@ -266,8 +266,17 @@ class Msp {
   // ---- orphan machinery ----
   bool SessionIsOrphan(const Session* s) const;
   /// Ablation (per_session_dv = false): the union of every live session's
-  /// DV — the single process-wide vector of the §3.2 strawman.
-  DependencyVector MspWideDv() const;
+  /// published DV — the single process-wide vector of the §3.2 strawman.
+  /// `self` (owned by the caller) publishes its current DV first. Other
+  /// sessions' `dv` fields are owner-thread only and are never read here.
+  DependencyVector MspWideDv(const Session* self) const;
+  /// Strawman only: copy `s->dv` (caller owns `s`) to `s->published_dv`.
+  void PublishDv(const Session* s) const;
+  /// Merge a dependency into `s->dv` (caller owns `s`) and publish it.
+  void MergeDv(Session* s, const DependencyVector& dv) {
+    s->dv.Merge(dv);
+    PublishDv(s);
+  }
   bool DvIsOrphan(const DependencyVector& dv) const;
   /// Roll `var` back along its backward write chain to the most recent
   /// non-orphan value (§4.2). Caller holds the variable's unique lock.
@@ -301,6 +310,10 @@ class Msp {
   /// checkpoint initialized from and every request record consumed).
   Status ReplayOnce(Session* s, uint64_t* replayed_out = nullptr,
                     obs::RecoveryTimeline::SessionProvenance* prov = nullptr);
+  /// ReplayOnce's pass over one cursor, which reads the session checkpoint
+  /// and every logged record (from the recovery's log image while it lives).
+  Status ReplayAlong(Session* s, ReplayCursor* cursor, uint64_t* replayed_out,
+                     obs::RecoveryTimeline::SessionProvenance* prov);
   /// Claim-and-replay one session (no-op if it already replayed or another
   /// replay owns it). `on_demand` marks admissions triggered by a live
   /// request (vs the background drain) in the recovery timeline.
@@ -353,6 +366,9 @@ class Msp {
   mutable audit::Mutex sessions_mu_{"msp.sessions"};
   std::map<std::string, std::shared_ptr<Session>> sessions_
       GUARDED_BY(sessions_mu_);
+  /// Guards Session::published_dv (strawman DV ablation). Taken after
+  /// sessions_mu_ when both are held.
+  mutable audit::Mutex wide_dv_mu_{"msp.wide_dv"};
 
   mutable audit::Mutex vars_mu_{"msp.vars"};
   std::map<std::string, std::shared_ptr<SharedVariable>> shared_vars_

@@ -23,8 +23,6 @@ enum class RecoveryMode {
   kStateServer,
 };
 
-const char* RecoveryModeName(RecoveryMode m);
-
 struct MspConfig {
   std::string id;
   RecoveryMode mode = RecoveryMode::kLogBased;
@@ -104,15 +102,5 @@ struct MspConfig {
   /// matching the paper's 90% -> 60% utilization observation.
   double cpu_per_flush_ms = 0.0;
 };
-
-inline const char* RecoveryModeName(RecoveryMode m) {
-  switch (m) {
-    case RecoveryMode::kLogBased: return "LogBased";
-    case RecoveryMode::kNoLog: return "NoLog";
-    case RecoveryMode::kPsession: return "Psession";
-    case RecoveryMode::kStateServer: return "StateServer";
-  }
-  return "?";
-}
 
 }  // namespace msplog

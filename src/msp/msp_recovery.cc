@@ -197,16 +197,36 @@ Status Msp::RecoverSessionReplay(Session* s, bool from_crash) {
 
 Status Msp::ReplayOnce(Session* s, uint64_t* replayed_out,
                        obs::RecoveryTimeline::SessionProvenance* prov) {
+  // One cursor serves the whole pass: while this recovery's log image
+  // lives, every durable frame comes from it instead of the disk.
+  ReplayCursor cursor(log_.get(),
+                      recovery_coordinator_ ? recovery_coordinator_->image()
+                                            : nullptr,
+                      s->positions.All());
+  Status st = ReplayAlong(s, &cursor, replayed_out, prov);
+  // Every exit path stamps how far along the stream this pass got, and
+  // what its reads cost.
+  if (prov) prov->log_records_consumed = cursor.consumed();
+  const LogReadStats& reads = cursor.read_stats();
+  audit::LockGuard lk(timeline_mu_);
+  last_recovery_timeline_.replay_disk_reads += reads.disk_reads;
+  last_recovery_timeline_.replay_disk_bytes += reads.disk_bytes;
+  last_recovery_timeline_.replay_image_frames += reads.image_frames;
+  return st;
+}
+
+Status Msp::ReplayAlong(Session* s, ReplayCursor* cursor,
+                        uint64_t* replayed_out,
+                        obs::RecoveryTimeline::SessionProvenance* prov) {
   // 1. Initialize from the most recent session checkpoint (§4.1).
   uint64_t cp_lsn = s->last_checkpoint_lsn.load();
   if (prov) {
     prov->records.clear();
-    prov->log_records_consumed = 0;
     prov->session_checkpoint_lsn = cp_lsn;
   }
   if (cp_lsn != 0) {
     LogRecord cp;
-    MSPLOG_RETURN_IF_ERROR(log_->ReadRecordAt(cp_lsn, &cp));
+    MSPLOG_RETURN_IF_ERROR(cursor->ReadAt(cp_lsn, &cp));
     if (cp.type != LogRecordType::kSessionCheckpoint) {
       return Status::Corruption("expected session checkpoint at " +
                                 std::to_string(cp_lsn));
@@ -222,50 +242,44 @@ Status Msp::ReplayOnce(Session* s, uint64_t* replayed_out,
   }
 
   // 2. Redo recovery: replay logged requests along the position stream.
-  ReplayCursor cursor(log_.get(), s->positions.All());
-  // Every exit path stamps how far along the stream this pass got.
-  auto done = [&](Status st) {
-    if (prov) prov->log_records_consumed = cursor.consumed();
-    return st;
-  };
-  while (cursor.HasNext()) {
+  while (cursor->HasNext()) {
     LogRecord rec;
-    MSPLOG_RETURN_IF_ERROR(done(cursor.Peek(&rec)));
+    MSPLOG_RETURN_IF_ERROR(cursor->Peek(&rec));
     if (rec.type == LogRecordType::kSessionStart) {
-      cursor.Skip();
+      cursor->Skip();
       continue;
     }
     if (rec.type == LogRecordType::kSessionEnd) {
       audit::LockGuard lk(sessions_mu_);
       s->ended = true;
-      return done(Status::OK());
+      return Status::OK();
     }
     if (rec.has_dv && DvIsOrphan(rec.dv)) {
       // The session became an orphan by receiving this request: skip it and
       // everything after; the sender will resend after its own recovery.
       OrphanCut(s, rec.lsn);
-      return done(Status::OK());
+      return Status::OK();
     }
     if (rec.type != LogRecordType::kRequestReceive) {
       env_->stats().replay_misalignments.fetch_add(1);
-      return done(Status::Internal(
+      return Status::Internal(
           "position stream misaligned: expected RequestReceive, found " +
           std::string(LogRecordTypeName(rec.type)) + " at " +
-          std::to_string(rec.lsn)));
+          std::to_string(rec.lsn));
     }
-    cursor.Skip();
+    cursor->Skip();
     s->state_number = rec.lsn;
     s->dv.Set(config_.id, StateId{epoch_.load(), rec.lsn});
-    if (rec.has_dv) s->dv.Merge(rec.dv);
+    if (rec.has_dv) MergeDv(s, rec.dv);
     s->next_expected_seqno = rec.seqno;
     if (prov) prov->records.push_back({epoch_.load(), rec.seqno, rec.lsn});
 
-    ExecContext ctx(this, s, ExecContext::Mode::kReplay, rec.seqno, &cursor);
+    ExecContext ctx(this, s, ExecContext::Mode::kReplay, rec.seqno, cursor);
     Bytes result;
     Status st = InvokeMethod(rec.target, &ctx, rec.payload, &result);
     env_->stats().requests_replayed.fetch_add(1);
     if (replayed_out) ++*replayed_out;
-    if (st.IsOrphan() || st.IsCrashed() || st.IsTimedOut()) return done(st);
+    if (st.IsOrphan() || st.IsCrashed() || st.IsTimedOut()) return st;
 
     ReplyCode code = st.ok() ? ReplyCode::kOk : ReplyCode::kAppError;
     Bytes payload = st.ok() ? std::move(result) : Bytes(st.ToString());
@@ -275,14 +289,12 @@ Status Msp::ReplayOnce(Session* s, uint64_t* replayed_out,
     if (ctx.switched_live()) {
       // The request was in flight when the log ended (or the cut happened):
       // its execution just completed for real, so the reply must go out.
-      Status rst = SendReply(s, code, payload, rec.seqno);
-      if (rst.IsOrphan()) return done(rst);
-      MSPLOG_RETURN_IF_ERROR(done(rst));
+      MSPLOG_RETURN_IF_ERROR(SendReply(s, code, payload, rec.seqno));
       // Anything after the switch point is gone (cut) or did not exist.
-      return done(Status::OK());
+      return Status::OK();
     }
   }
-  return done(Status::OK());
+  return Status::OK();
 }
 
 void Msp::OrphanCut(Session* s, uint64_t orphan_lsn) {

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "audit/invariants.h"
 #include "audit/mutex.h"
 #include "log/log_scanner.h"
 #include "msp/msp.h"
@@ -119,12 +120,27 @@ Status RecoveryCoordinator::RunAnalysis() {
   };
 
   uint64_t scanned_records = 0;
-  LogScanner scanner(m->disk_, log_file, min_lsn, durable);
+  auto image = std::make_shared<LogImage>();
+  LogScanner scanner(m->disk_, log_file, min_lsn, durable, image.get());
   while (true) {
     LogRecord rec;
     Status st = scanner.Next(&rec);
     if (st.IsNotFound()) break;
-    if (st.IsCorruption()) break;  // torn tail: the durable log ends here
+    if (st.IsCorruption()) {
+      // A torn last frame is the clean end of the durable log. A valid
+      // frame after it is a mid-log tear: replaying only the prefix would
+      // silently lose acknowledged requests, so recovery refuses.
+      const uint64_t torn = scanner.next_lsn();
+      if (uint64_t later = scanner.FirstValidFrameAfter(torn)) {
+        const std::string what = "mid-log tear in " + log_file + ": corrupt " +
+                                 "frame at lsn " + std::to_string(torn) +
+                                 " but a valid frame at " +
+                                 std::to_string(later);
+        audit::InvariantRegistry::Instance().Note("log.mid-log-tear", what);
+        return Status::Corruption(what);
+      }
+      break;
+    }
     MSPLOG_RETURN_IF_ERROR(st);
     ++scanned_records;
 
@@ -284,8 +300,24 @@ Status RecoveryCoordinator::RunAnalysis() {
     m->last_recovery_timeline_.sessions_to_recover = sessions_to_recover_;
     m->last_recovery_timeline_.scan_start_lsn = min_lsn;
     m->last_recovery_timeline_.scan_end_lsn = durable;
+    m->last_recovery_timeline_.analysis_disk_reads =
+        scanner.read_stats().disk_reads;
+    m->last_recovery_timeline_.image_bytes = image->bytes();
   }
+  audit::LockGuard lk(image_mu_);
+  image_ = std::move(image);
   return Status::OK();
+}
+
+std::shared_ptr<const LogImage> RecoveryCoordinator::image() const {
+  audit::LockGuard lk(image_mu_);
+  return image_;
+}
+
+void RecoveryCoordinator::DropImage() {
+  std::shared_ptr<const LogImage> dropped;
+  audit::LockGuard lk(image_mu_);
+  dropped.swap(image_);
 }
 
 Status RecoveryCoordinator::PrepareOpen() {
@@ -377,6 +409,7 @@ void RecoveryCoordinator::BeginBackgroundDrain() {
                 ? (drain_queue_.empty() ? 0 : 1)
                 : std::min(drain_queue_.size(), m->pool_->num_threads());
   }
+  if (pumps == 0) DropImage();  // nothing to replay
   for (size_t i = 0; i < pumps; ++i) {
     m->pool_->Submit([this] { DrainStep(); });
   }
@@ -389,9 +422,14 @@ void RecoveryCoordinator::DrainStep() {
     std::string id;
     {
       audit::LockGuard lk(queue_mu_);
-      if (drain_queue_.empty()) return;
-      id = std::move(drain_queue_.front());
-      drain_queue_.pop_front();
+      if (!drain_queue_.empty()) {
+        id = std::move(drain_queue_.front());
+        drain_queue_.pop_front();
+      }
+    }
+    if (id.empty()) {
+      DropImage();
+      return;
     }
     audit::LockGuard lk(m->sessions_mu_);
     auto it = m->sessions_.find(id);
@@ -410,7 +448,12 @@ void RecoveryCoordinator::DrainStep() {
   }
   // Resubmit instead of looping: yielding the pool thread between sessions
   // bounds how long an on-demand replay queued behind the drain waits.
-  if (more) m->pool_->Submit([this] { DrainStep(); });
+  // Replays still running hold their own reference to the image.
+  if (more) {
+    m->pool_->Submit([this] { DrainStep(); });
+  } else {
+    DropImage();
+  }
 }
 
 }  // namespace msplog

@@ -7,6 +7,8 @@
 //                               and ONE bounded analysis scan that builds
 //                               every session's replay work-list (position
 //                               stream). No session is replayed here.
+//                               The chunks the scan reads stay behind as
+//                               this recovery's log image (log_image.h).
 //   2. PrepareOpen()          — recovery broadcast to the service domain and
 //                               a fresh MSP checkpoint; after this the
 //                               server is ready to accept traffic even
@@ -20,6 +22,9 @@
 //                               arriving for a not-yet-replayed session
 //                               (Msp::HandleRequestMsg admission gate) —
 //                               waits behind at most one background replay.
+//                               Every replay takes its frames from the log
+//                               image; the image is dropped once the drain
+//                               empties (or the MSP crashes).
 //
 // A coordinator instance drives exactly one recovery; Msp::Start creates a
 // fresh one per boot. Pool tasks capture the coordinator raw: Crash/Shutdown
@@ -28,10 +33,12 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 
 #include "audit/mutex.h"
 #include "common/status.h"
+#include "log/log_image.h"
 
 namespace msplog {
 
@@ -59,6 +66,12 @@ class RecoveryCoordinator {
   /// not-yet-replayed sessions in the background, smallest work-list first.
   void BeginBackgroundDrain();
 
+  /// The log image the analysis scan built, or null once dropped. Readers
+  /// keep the returned pointer for as long as they read from it.
+  std::shared_ptr<const LogImage> image() const;
+  /// Release the image (drain empty, or the MSP crashed).
+  void DropImage();
+
  private:
   /// One background drain step: claim and replay the next pending session
   /// from the priority queue, then resubmit itself while work remains.
@@ -72,6 +85,9 @@ class RecoveryCoordinator {
   audit::Mutex queue_mu_{"recovery_coordinator.queue"};
   /// Session ids still awaiting a background replay, priority order.
   std::deque<std::string> drain_queue_ GUARDED_BY(queue_mu_);
+
+  mutable audit::Mutex image_mu_{"recovery_coordinator.image"};
+  std::shared_ptr<const LogImage> image_ GUARDED_BY(image_mu_);
 };
 
 }  // namespace msplog

@@ -62,6 +62,9 @@ class Session {
 
   // ---- recovery bookkeeping ----
   DependencyVector dv;       ///< per-session DV (§3.2), includes self entry
+  /// `dv` as the owner thread last published it, for the MSP-wide DV of the
+  /// per_session_dv = false ablation. Guarded by Msp::wide_dv_mu_.
+  mutable DependencyVector published_dv;
   /// Auditor shadow of `dv` as of the last request boundary (or replay
   /// end). The dv-monotonic invariant check compares against it on the next
   /// request: outside recovery, a DV may only grow (audit/invariants.h).

@@ -8,7 +8,7 @@ namespace msplog {
 namespace obs {
 
 std::string RecoveryTimeline::ToJson() const {
-  char buf[576];
+  char buf[832];
   snprintf(buf, sizeof(buf),
            "{\"epoch\":%u,\"started_ms\":%.6g,\"analysis_scan_ms\":%.6g,"
            "\"analysis_records_scanned\":%llu,\"analysis_bytes_scanned\":%llu,"
@@ -16,6 +16,9 @@ std::string RecoveryTimeline::ToJson() const {
            "\"sessions_to_recover\":%llu,"
            "\"max_parallel_replays\":%u,\"orphan_events\":%llu,"
            "\"on_demand_replays\":%llu,"
+           "\"analysis_disk_reads\":%llu,\"image_bytes\":%llu,"
+           "\"replay_disk_reads\":%llu,\"replay_disk_bytes\":%llu,"
+           "\"replay_image_frames\":%llu,"
            "\"total_replay_ms\":%.6g,\"msp_checkpoint_lsn\":%llu,"
            "\"scan_start_lsn\":%llu,\"scan_end_lsn\":%llu,"
            "\"session_replays\":[",
@@ -26,6 +29,11 @@ std::string RecoveryTimeline::ToJson() const {
            static_cast<unsigned long long>(sessions_to_recover),
            max_parallel_replays, static_cast<unsigned long long>(orphan_events),
            static_cast<unsigned long long>(on_demand_replays),
+           static_cast<unsigned long long>(analysis_disk_reads),
+           static_cast<unsigned long long>(image_bytes),
+           static_cast<unsigned long long>(replay_disk_reads),
+           static_cast<unsigned long long>(replay_disk_bytes),
+           static_cast<unsigned long long>(replay_image_frames),
            TotalReplayMs(), static_cast<unsigned long long>(msp_checkpoint_lsn),
            static_cast<unsigned long long>(scan_start_lsn),
            static_cast<unsigned long long>(scan_end_lsn));

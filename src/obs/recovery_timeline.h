@@ -73,6 +73,15 @@ struct RecoveryTimeline {
   /// of the background drain (subset of session_replays).
   uint64_t on_demand_replays = 0;
 
+  // ---- read path (log/log_image.h) ----
+  uint64_t analysis_disk_reads = 0;  ///< 64 KB chunk reads of the scan
+  uint64_t image_bytes = 0;          ///< scanned bytes kept as the log image
+  /// Disk reads replay issued because a frame was outside the image, and
+  /// the bytes they returned; 0 when the image covered every replay.
+  uint64_t replay_disk_reads = 0;
+  uint64_t replay_disk_bytes = 0;
+  uint64_t replay_image_frames = 0;  ///< frames replay took from the image
+
   // ---- provenance ----
   uint64_t msp_checkpoint_lsn = 0;  ///< anchor's MSP checkpoint (0 = none)
   uint64_t scan_start_lsn = 0;      ///< analysis scan start position

@@ -99,10 +99,6 @@ class SimNetwork {
     audit::LockGuard lk(mu_);
     default_one_way_ms_ = ms;
   }
-  double default_one_way_ms() const {
-    audit::LockGuard lk(mu_);
-    return default_one_way_ms_;
-  }
   void set_bandwidth_mbps(double mbps) {
     audit::LockGuard lk(mu_);
     bandwidth_mbps_ = mbps;

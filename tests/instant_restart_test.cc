@@ -3,7 +3,9 @@
 // request for a not-yet-recovered session triggers an on-demand replay that
 // jumps the background drain queue and still serializes after the session's
 // replayed history; a second crash in the middle of the incremental drain
-// recovers cleanly with every outage fate resolved; and checkpoint-driven
+// recovers cleanly with every outage fate resolved; replay takes its frames
+// from the analysis scan's log image, even when 4 clients interleave 32
+// sessions' records across the log; and checkpoint-driven
 // log archiving keeps recovery working off the punched live log while the
 // archived segments still merge into a clean, inspectable image.
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 
 #include "audit/invariants.h"
 #include "log/log_file.h"
+#include "log/log_image.h"
 #include "msp/log_inspect.h"
 #include "msp/msp.h"
 #include "msp/service_domain.h"
@@ -55,6 +58,23 @@ class InstantRestartTest : public ::testing::Test {
   }
 
   static void Register(Msp* msp) {
+    // `tick`: a counter that also reads a shared variable, so replay walks
+    // logged shared reads between the requests; 1 ms per replayed request
+    // keeps a 32-session drain open long enough to crash into.
+    msp->RegisterSharedVariable("hits", "0");
+    msp->RegisterMethod(
+        "tick", [](ServiceContext* ctx, const Bytes&, Bytes* result) {
+          if (ctx->in_replay()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          Bytes hits;
+          MSPLOG_RETURN_IF_ERROR(ctx->ReadShared("hits", &hits));
+          Bytes cur = ctx->GetSessionVar("n");
+          int n = cur.empty() ? 0 : std::stoi(cur);
+          ctx->SetSessionVar("n", std::to_string(n + 1));
+          *result = std::to_string(n + 1);
+          return Status::OK();
+        });
     // A per-session counter whose replay is deliberately slow: the sleep
     // widens the background-drain window so the tests can deterministically
     // land a live request on a session the drain has not reached yet.
@@ -69,6 +89,63 @@ class InstantRestartTest : public ::testing::Test {
           *result = std::to_string(n + 1);
           return Status::OK();
         });
+  }
+
+  /// The perfbench crash_restart shape: 4 concurrent clients, each driving
+  /// 8 sessions round-robin, so every session's 8 `tick` records are spread
+  /// across the whole log.
+  struct Interleaved {
+    std::vector<std::unique_ptr<ClientEndpoint>> clients;
+    std::vector<std::vector<ClientSession>> sessions;  ///< per client
+  };
+  static constexpr int kClients = 4;
+  static constexpr int kSessionsPerClient = 8;
+  static constexpr int kSessions = kClients * kSessionsPerClient;
+  static constexpr int kRequests = 8;
+
+  Interleaved RunInterleaved() {
+    Interleaved w;
+    w.sessions.resize(kClients);
+    std::vector<std::thread> threads;
+    for (int c = 0; c < kClients; ++c) {
+      w.clients.push_back(std::make_unique<ClientEndpoint>(
+          &env_, &net_, "cli" + std::to_string(c)));
+    }
+    for (int c = 0; c < kClients; ++c) {
+      threads.emplace_back([&w, c] {
+        for (int s = 0; s < kSessionsPerClient; ++s) {
+          w.sessions[c].push_back(w.clients[c]->StartSession("alpha"));
+        }
+        Bytes reply;
+        for (int r = 0; r < kRequests; ++r) {
+          for (auto& session : w.sessions[c]) {
+            EXPECT_TRUE(w.clients[c]
+                            ->Call(&session, "tick", MakePayload(600, r),
+                                   &reply)
+                            .ok());
+          }
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    return w;
+  }
+
+  /// Every session continues from its pre-crash count: exactly once.
+  void ExpectCountersContinue(Interleaved* w) {
+    Bytes reply;
+    for (int c = 0; c < kClients; ++c) {
+      for (auto& session : w->sessions[c]) {
+        ASSERT_TRUE(w->clients[c]->Call(&session, "tick", "", &reply).ok());
+        EXPECT_EQ(reply, std::to_string(kRequests + 1)) << session.session_id;
+      }
+    }
+  }
+
+  void WaitForRecovered(uint64_t target) {
+    while (env_.stats().sessions_recovered.load() < target) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
 
   SimEnvironment env_;
@@ -193,6 +270,80 @@ TEST_F(InstantRestartTest, RecrashDuringIncrementalRecovery) {
     ASSERT_NE(mine, nullptr) << live.session_id;
     EXPECT_EQ(mine->fate, live.fate) << live.session_id;
   }
+  EXPECT_EQ(audit::InvariantRegistry::Instance().total_violations(), 0u);
+}
+
+// Replay reads from the bytes the analysis scan already read: with 4
+// clients interleaving 32 sessions across the log, the drain issues no disk
+// read of its own, the scan reads each aligned 64 KB chunk once, and every
+// session replays exactly once with its counter intact.
+TEST_F(InstantRestartTest, ReplayTakesInterleavedSessionsFromTheLogImage) {
+  MspConfig c = BaseConfig();
+  c.thread_pool_size = 1;
+  StartMsp(c);
+  Interleaved w = RunInterleaved();
+
+  const uint64_t recovered_before = env_.stats().sessions_recovered.load();
+  msp_->Crash();
+  ASSERT_TRUE(msp_->Start().ok());
+  WaitForRecovered(recovered_before + kSessions);
+
+  const obs::RecoveryTimeline tl = msp_->LastRecoveryTimeline();
+  EXPECT_EQ(tl.sessions_to_recover, static_cast<uint64_t>(kSessions));
+  EXPECT_EQ(tl.replay_disk_reads, 0u);
+  EXPECT_EQ(tl.replay_disk_bytes, 0u);
+  // A request record and a shared-read record per replayed request.
+  EXPECT_GE(tl.replay_image_frames,
+            static_cast<uint64_t>(2 * kSessions * kRequests));
+  const uint64_t k = LogImage::kChunkBytes;
+  ASSERT_GT(tl.scan_end_lsn, 2 * k);  // the log spans several chunks
+  EXPECT_EQ(tl.analysis_disk_reads,
+            (tl.scan_end_lsn - 1) / k - tl.scan_start_lsn / k + 1);
+  EXPECT_EQ(tl.image_bytes, tl.scan_end_lsn - tl.scan_start_lsn / k * k);
+  EXPECT_EQ(env_.stats().replay_misalignments.load(), 0u);
+
+  const obs::OutageReport report = msp_->LastOutageReport();
+  ASSERT_TRUE(report.valid);
+  EXPECT_TRUE(report.complete);
+  ASSERT_EQ(report.sessions.size(), static_cast<size_t>(kSessions));
+  for (const auto& f : report.sessions) {
+    EXPECT_EQ(f.fate, "replayed") << f.session_id;
+    EXPECT_EQ(f.requests_replayed, static_cast<uint64_t>(kRequests))
+        << f.session_id;
+  }
+  ExpectCountersContinue(&w);
+  EXPECT_EQ(audit::InvariantRegistry::Instance().total_violations(), 0u);
+}
+
+// A crash in the middle of that drain, after the post-recovery MSP
+// checkpoint: the image dies with the process, and the next Start() scans
+// the disk again — past the checkpoint the first image never held — so the
+// second drain replays from what is really on disk and converges.
+TEST_F(InstantRestartTest, RecrashMidDrainRebuildsTheImageFromDisk) {
+  MspConfig c = BaseConfig();
+  c.thread_pool_size = 1;
+  StartMsp(c);
+  Interleaved w = RunInterleaved();
+
+  msp_->Crash();
+  ASSERT_TRUE(msp_->Start().ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const obs::RecoveryTimeline first = msp_->LastRecoveryTimeline();
+  EXPECT_LT(first.session_replays.size(), static_cast<size_t>(kSessions));
+  msp_->Crash();
+  const uint64_t recovered_before = env_.stats().sessions_recovered.load();
+  ASSERT_TRUE(msp_->Start().ok());
+  WaitForRecovered(recovered_before + kSessions);
+
+  const obs::RecoveryTimeline second = msp_->LastRecoveryTimeline();
+  EXPECT_EQ(second.epoch, first.epoch + 1);
+  EXPECT_GT(second.analysis_disk_reads, 0u);
+  EXPECT_GT(second.scan_end_lsn, first.scan_end_lsn);
+  EXPECT_EQ(second.replay_disk_reads, 0u);
+  EXPECT_GE(second.replay_image_frames,
+            static_cast<uint64_t>(2 * kSessions * kRequests));
+  EXPECT_EQ(env_.stats().replay_misalignments.load(), 0u);
+  ExpectCountersContinue(&w);
   EXPECT_EQ(audit::InvariantRegistry::Instance().total_violations(), 0u);
 }
 

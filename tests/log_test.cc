@@ -1,6 +1,6 @@
 // Unit tests for the physical log: record encoding, sector-aligned framing,
-// flush semantics, crash (volatile loss), group commit, scanner, anchor,
-// position streams.
+// flush semantics, crash (volatile loss), group commit, scanner, the
+// recovery log image and its reader, anchor, position streams.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -8,6 +8,7 @@
 
 #include "log/log_anchor.h"
 #include "log/log_file.h"
+#include "log/log_image.h"
 #include "log/log_record.h"
 #include "log/log_scanner.h"
 #include "log/position_stream.h"
@@ -313,6 +314,104 @@ TEST_F(LogFileTest, ScannerStopsAtCorruptTail) {
   ASSERT_TRUE(scanner.Next(&r).ok());
   EXPECT_EQ(r.lsn, l1);
   EXPECT_TRUE(scanner.Next(&r).IsCorruption());
+}
+
+// Records of mixed sizes, so frames straddle 64 KB chunk edges and one
+// record spans three chunks. Returns every record's LSN.
+std::vector<uint64_t> AppendMixedRecords(LogFile* log, int n) {
+  std::vector<uint64_t> lsns;
+  for (int i = 0; i < n; ++i) {
+    const size_t bytes = i == n / 2 ? 130 * 1024 : 200 + (i * 37) % 900;
+    lsns.push_back(log->Append(
+        MakeRequestRecord("s" + std::to_string(i % 7), i, "m",
+                          MakePayload(bytes, i))));
+    if (i % 5 == 4) {
+      EXPECT_TRUE(log->FlushAll().ok());
+    }
+  }
+  EXPECT_TRUE(log->FlushAll().ok());
+  return lsns;
+}
+
+TEST_F(LogFileTest, ImageServesEveryScannedFrameWithoutDiskReads) {
+  LogFile log(&env_, &disk_, "log");
+  const std::vector<uint64_t> lsns = AppendMixedRecords(&log, 400);
+  const uint64_t size = disk_.FileSize("log");
+  ASSERT_GT(size, 4 * LogImage::kChunkBytes);
+
+  auto image = std::make_shared<LogImage>();
+  LogScanner scanner(&disk_, "log", 0, size, image.get());
+  LogRecord r;
+  size_t scanned = 0;
+  while (scanner.Next(&r).ok()) ++scanned;
+  ASSERT_EQ(scanned, lsns.size());
+  // The scan reads each aligned chunk exactly once and keeps all of them.
+  const uint64_t chunks =
+      (size + LogImage::kChunkBytes - 1) / LogImage::kChunkBytes;
+  EXPECT_EQ(scanner.read_stats().disk_reads, chunks);
+  EXPECT_EQ(image->bytes(), size);
+  EXPECT_NE(image->Find(chunks - 1), nullptr);
+
+  // Replay order is not log order: read the records backwards.
+  LogReader reader(&disk_, "log", UINT64_MAX,
+                   std::shared_ptr<const LogImage>(image));
+  for (size_t i = lsns.size(); i-- > 0;) {
+    ASSERT_TRUE(reader.ReadRecordAt(lsns[i], &r).ok()) << lsns[i];
+    EXPECT_EQ(r.seqno, i);
+    EXPECT_EQ(r.lsn, lsns[i]);
+  }
+  EXPECT_EQ(reader.stats().disk_reads, 0u);
+  EXPECT_EQ(reader.stats().image_frames, lsns.size());
+}
+
+TEST_F(LogFileTest, ReaderMissesGoToDiskThroughTheSamePath) {
+  LogFile log(&env_, &disk_, "log");
+  const std::vector<uint64_t> lsns = AppendMixedRecords(&log, 400);
+  const uint64_t size = disk_.FileSize("log");
+
+  // No image: a forward walk reads each chunk once, because the reader
+  // keeps the last chunk it read.
+  LogReader cold(&disk_, "log", UINT64_MAX);
+  LogRecord r;
+  for (size_t i = 0; i < lsns.size(); ++i) {
+    ASSERT_TRUE(cold.ReadRecordAt(lsns[i], &r).ok()) << lsns[i];
+    EXPECT_EQ(r.seqno, i);
+  }
+  EXPECT_EQ(cold.stats().disk_reads,
+            (size + LogImage::kChunkBytes - 1) / LogImage::kChunkBytes);
+  EXPECT_EQ(cold.stats().image_frames, 0u);
+
+  // An image of the first half: frames past it (appended after the scan,
+  // or beyond the bound) are read from disk, the rest come from the image.
+  const uint64_t half = lsns[lsns.size() / 2 - 1];
+  auto image = std::make_shared<LogImage>();
+  LogScanner scanner(&disk_, "log", 0, half, image.get());
+  while (scanner.Next(&r).ok()) {
+  }
+  LogReader warm(&disk_, "log", UINT64_MAX,
+                 std::shared_ptr<const LogImage>(image));
+  for (size_t i = 0; i < lsns.size(); ++i) {
+    ASSERT_TRUE(warm.ReadRecordAt(lsns[i], &r).ok()) << lsns[i];
+    EXPECT_EQ(r.seqno, i);
+  }
+  EXPECT_GT(warm.stats().disk_reads, 0u);
+  EXPECT_LT(warm.stats().disk_reads, cold.stats().disk_reads);
+  EXPECT_GE(warm.stats().image_frames, lsns.size() / 2 - 2);
+  EXPECT_LT(warm.stats().image_frames, lsns.size());
+
+  // Padding and positions past the durable end are errors, not records.
+  EXPECT_TRUE(warm.ReadRecordAt(1, &r).IsCorruption());
+  EXPECT_FALSE(warm.ReadRecordAt(size + 4096, &r).ok());
+}
+
+TEST(LogImageTest, KeepStopsAtTheByteBound) {
+  LogImage image;
+  auto chunk = std::make_shared<const Bytes>(LogImage::kChunkBytes, 'x');
+  const uint64_t fit = LogImage::kMaxBytes / LogImage::kChunkBytes;
+  for (uint64_t i = 0; i < fit + 3; ++i) image.Keep(i, chunk);
+  EXPECT_EQ(image.bytes(), LogImage::kMaxBytes);
+  EXPECT_NE(image.Find(fit - 1), nullptr);
+  EXPECT_EQ(image.Find(fit), nullptr);
 }
 
 TEST(LogAnchorTest, RoundTripAndMissing) {

@@ -1,10 +1,14 @@
 // Tests for MSP crash recovery (§4.3): analysis scan, session replay,
 // shared-state roll forward, checkpoint-bounded scans, exactly-once
-// semantics across crashes, parallel session recovery.
+// semantics across crashes, parallel session recovery, and the tear rule:
+// a corrupt frame mid-log fails recovery, a corrupt last frame ends it.
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
+#include "audit/invariants.h"
+#include "log/log_scanner.h"
 #include "msp/msp.h"
 #include "msp/service_domain.h"
 #include "rpc/client_endpoint.h"
@@ -78,6 +82,23 @@ class MspRecoveryTest : public ::testing::Test {
   void CrashAndRestart() {
     msp_->Crash();
     ASSERT_TRUE(msp_->Start().ok());
+  }
+
+  /// LSNs of every record in alpha's durable log.
+  std::vector<uint64_t> DurableLsns() {
+    std::vector<uint64_t> lsns;
+    LogScanner scanner(&disk_, "alpha.log", 0, disk_.FileSize("alpha.log"));
+    LogRecord r;
+    while (scanner.Next(&r).ok()) lsns.push_back(r.lsn);
+    return lsns;
+  }
+
+  /// Flip one byte inside the body of the frame at `lsn`.
+  void CorruptFrameAt(uint64_t lsn) {
+    Bytes b;
+    ASSERT_TRUE(disk_.ReadAt("alpha.log", lsn + 12, 1, &b).ok());
+    b[0] ^= 0x55;
+    ASSERT_TRUE(disk_.WriteAt("alpha.log", lsn + 12, b).ok());
   }
 
   SimEnvironment env_;
@@ -311,6 +332,63 @@ TEST_F(MspRecoveryTest, RequestsDuringRecoveryEventuallyServed) {
   ASSERT_TRUE(msp_->Start().ok());
   ASSERT_TRUE(client.Call(&session, "counter", "", &reply).ok());
   EXPECT_EQ(reply, "11");
+}
+
+// A corrupt frame with valid frames after it is a mid-log tear: replaying
+// the prefix would silently drop acknowledged requests, so Start() fails
+// with a Corruption that names the torn LSN.
+TEST_F(MspRecoveryTest, MidLogTearFailsStart) {
+  audit::InvariantRegistry::Instance().ResetForTest();
+  StartMsp(BaseConfig());
+  ClientEndpoint client(&env_, &net_, "cli");
+  auto session = client.StartSession("alpha");
+  Bytes reply;
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(client.Call(&session, "counter", "", &reply).ok());
+  }
+  msp_->Crash();
+  const std::vector<uint64_t> lsns = DurableLsns();
+  ASSERT_GT(lsns.size(), 10u);
+  const uint64_t torn = lsns[lsns.size() / 2];
+  CorruptFrameAt(torn);
+
+  Status st = msp_->Start();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.ToString().find("mid-log tear"), std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.ToString().find("lsn " + std::to_string(torn)),
+            std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(
+      audit::InvariantRegistry::Instance().notes("log.mid-log-tear"), 1u);
+  audit::InvariantRegistry::Instance().ResetForTest();
+}
+
+// A corrupt last frame is the clean end of the durable log: recovery
+// succeeds and replays everything before it.
+TEST_F(MspRecoveryTest, TornLastFrameIsACleanEndOfLog) {
+  audit::InvariantRegistry::Instance().ResetForTest();
+  StartMsp(BaseConfig());
+  ClientEndpoint client(&env_, &net_, "cli");
+  auto session = client.StartSession("alpha");
+  Bytes reply;
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(client.Call(&session, "counter", "", &reply).ok());
+  }
+  msp_->Crash();
+  const std::vector<uint64_t> lsns = DurableLsns();
+  ASSERT_FALSE(lsns.empty());
+  CorruptFrameAt(lsns.back());
+
+  ASSERT_TRUE(msp_->Start().ok());
+  const obs::RecoveryTimeline tl = msp_->LastRecoveryTimeline();
+  uint64_t scannable = 0;
+  for (uint64_t lsn : lsns) scannable += lsn >= tl.scan_start_lsn ? 1 : 0;
+  EXPECT_EQ(tl.analysis_records_scanned, scannable - 1);
+  auto& reg = audit::InvariantRegistry::Instance();
+  EXPECT_EQ(reg.notes("log.mid-log-tear"), 0u);
+  EXPECT_GE(reg.notes("log.crc-reject"), 1u);
+  reg.ResetForTest();
 }
 
 }  // namespace

@@ -595,7 +595,8 @@ TEST_F(StatsTest, DumpStatuszCarriesLiveStateAndSurvivesCrashCycle) {
   for (const char* key :
        {"\"id\":\"alpha\"", "\"state\":\"running\"", "\"epoch\"",
         "\"sessions\"", "\"log\"", "\"end_lsn\"", "\"requests\"",
-        "\"histograms\"", "\"recoveries\""}) {
+        "\"histograms\"", "\"recoveries\"", "\"last_recovery_reads\"",
+        "\"replay_disk_reads\"", "\"replay_image_frames\""}) {
     EXPECT_NE(s.find(key), std::string::npos) << key << " missing in " << s;
   }
   alpha_->Crash();
