@@ -9,10 +9,11 @@
 //   build/examples/crash_demo
 #include <atomic>
 #include <cstdio>
+#include <sstream>
 #include <thread>
 
 #include "log/log_anchor.h"
-#include "log/log_scanner.h"
+#include "msp/log_inspect.h"
 #include "msp/msp.h"
 #include "msp/service_domain.h"
 #include "rpc/client_endpoint.h"
@@ -24,19 +25,32 @@ using namespace msplog;
 
 namespace {
 
-void DumpLog(SimDisk* disk, const std::string& file, const char* title) {
+/// Print the first 40 records of `file` and the offline inspector's
+/// invariant verdict (msp/log_inspect.h: the same walk `msplog` does, with
+/// its mid-log-tear rule). Returns whether the invariants hold.
+bool DumpLog(SimDisk* disk, const std::string& file, const char* title) {
   printf("\n--- %s (%llu durable bytes) ---\n", title,
          (unsigned long long)disk->FileSize(file));
-  LogScanner scanner(disk, file, 0, disk->FileSize(file));
-  LogRecord r;
-  int shown = 0;
-  while (scanner.Next(&r).ok()) {
-    printf("  %s\n", r.ToString().c_str());
-    if (++shown >= 40) {
+  LogInspectOptions opts;
+  opts.dump_records = true;
+  LogInspectReport report;
+  std::string dump;
+  if (!InspectLogImage(disk, file, opts, &report, &dump).ok()) {
+    printf("  cannot read %s\n", file.c_str());
+    return false;
+  }
+  std::istringstream lines(dump);
+  std::string line;
+  for (int shown = 0; std::getline(lines, line); ++shown) {
+    if (shown == 40) {
       printf("  ... (truncated)\n");
       break;
     }
+    printf("  %s\n", line.c_str());
   }
+  const std::string summary = report.Summary();
+  printf("%s", summary.substr(summary.find("invariants:")).c_str());
+  return report.invariant_violations.empty();
 }
 
 }  // namespace
@@ -96,9 +110,9 @@ int main() {
     printf("transfer -> %s\n", reply.c_str());
   }
   alpha.log()->FlushAll();
-  DumpLog(&disk_a, "alpha.log", "alpha's physical log");
+  bool healthy = DumpLog(&disk_a, "alpha.log", "alpha's physical log");
   printf("\nnote: SharedRead records carry the value AND the variable's DV "
-         "(value logging, §3.3);\nSharedWrite records carry prev= back-"
+         "(value logging, §3.3);\nSharedWrite records carry prev_lsn= back-"
          "pointers (the undo chain); ReplyReceive\nrecords carry the "
          "callee's DV (optimistic intra-domain message, §3.1).\n");
 
@@ -145,7 +159,7 @@ int main() {
   printf("orphans detected so far: %llu\n",
          (unsigned long long)env.stats().orphans_detected.load());
   alpha.log()->FlushAll();
-  DumpLog(&disk_a, "alpha.log", "alpha's log after orphan recovery");
+  healthy &= DumpLog(&disk_a, "alpha.log", "alpha's log after orphan recovery");
   printf("\n(an Eos record pointing back at the orphan record means this "
          "session's skipped\nsuffix stays invisible to every future "
          "recovery, §4.1)\n");
@@ -155,5 +169,5 @@ int main() {
 
   alpha.Shutdown();
   beta.Shutdown();
-  return 0;
+  return healthy ? 0 : 1;
 }

@@ -61,10 +61,14 @@ Checks enforced over src/ (stdlib only, no third-party deps):
                        precomputed EncodeTo span path) are banned there.
                        Naked new is already banned tree-wide. Reviewed
                        exceptions carry `audit:allow(hot-path-alloc)`.
+  mode-branch          in src/msp, `config_.mode` and `RecoveryMode::` only
+                       inside `Msp::Start` (and msp_config.h, which defines
+                       them); elsewhere the code asks whether `log_` is set.
 
 Exit status: 0 clean, 1 findings (one `file:line: [check] message` per line).
-Run with --self-test to prove the hot-path-alloc rule still fires on known-
-bad input (a broken rule would otherwise pass everything forever).
+Run with --self-test to prove the hot-path-alloc and mode-branch rules still
+fire on known-bad input (a broken rule would otherwise pass everything
+forever).
 """
 
 import re
@@ -104,6 +108,10 @@ UNLOCK = re.compile(r"\b(\w+)\s*\.\s*unlock\s*\(")
 
 # hot-path-alloc: a file opts in with this tag (in a comment); the checks
 # run on comment-stripped lines so prose mentioning std::function is fine.
+# mode-branch: reads of the recovery mode outside Msp::Start.
+MODE_BRANCH = re.compile(r"\bconfig_\.mode\b|\bRecoveryMode::")
+MSP_START_DEF = re.compile(r"\bMsp::Start\s*\(")
+
 HOT_PATH_TAG = "lint:hot-path"
 STD_FUNCTION = re.compile(r"\bstd::function\s*<")
 ENCODE_BY_VALUE = re.compile(r"\.\s*Encode\s*\(\s*\)")
@@ -166,6 +174,9 @@ def lint_source(rel, raw, findings):
     in_sim = rel.startswith("src/sim/")
     is_header = rel.endswith(".h")
     hot_path = any(HOT_PATH_TAG in l for l in raw)
+    mode_checked = rel.startswith("src/msp/") and \
+        rel != "src/msp/msp_config.h"
+    in_start, start_depth = False, 0  # inside Msp::Start's body; its depth
 
     # Guard tracking: list of (name, brace_depth_at_declaration).
     guards = []
@@ -235,6 +246,16 @@ def lint_source(rel, raw, findings):
                     "in a lint:hot-path file; use the size-precomputed "
                     "EncodeTo span path")
 
+        if mode_checked:
+            if not in_start and MSP_START_DEF.search(line) \
+                    and not line.rstrip().endswith(";"):
+                in_start, start_depth = True, depth
+            if not in_start and MODE_BRANCH.search(line):
+                findings.append(
+                    f"{rel}:{lineno}: [mode-branch] recovery mode read "
+                    "outside Msp::Start; ask whether the MSP logs (log_) "
+                    "or use the SessionStore Start built")
+
         # --- blocking-under-lock token scan ---------------------------------
         if not in_sim:
             for m in GUARD_DECL.finditer(line):
@@ -254,6 +275,8 @@ def lint_source(rel, raw, findings):
             depth = max(0, depth - closes)
             guards = [g for g in guards if g[1] <= depth]
             depth += opens
+            if in_start and depth <= start_depth and closes:
+                in_start = False
         else:
             depth = max(0, depth - line.count("}")) + line.count("{")
 
@@ -363,8 +386,8 @@ def lint_requires_assertheld(header_texts, all_texts, findings):
 
 
 def self_test():
-    """Prove hot-path-alloc fires on known-bad input and stays quiet
-    otherwise. Exercised by the lint_msplog_selftest CTest."""
+    """Prove hot-path-alloc and mode-branch fire on known-bad input and stay
+    quiet otherwise. Exercised by the lint_msplog_selftest CTest."""
     bad = [
         "// lint:hot-path",
         "#include <functional>",
@@ -388,6 +411,24 @@ def self_test():
     if any("[hot-path-alloc]" in f for f in findings):
         sys.exit("lint_msplog: self-test FAILED: hot-path-alloc fired on an "
                  "untagged file:\n" + "\n".join(findings))
+    # mode-branch: the read inside Msp::Start is fine, the one in Serve
+    # (line 6) is not; comments never fire.
+    mode_bad = [
+        "#pragma once", "Status Msp::Start() {",
+        "  switch (config_.mode) { case RecoveryMode::kNoLog: break; }",
+        "}", "void Msp::Serve() {",
+        "  if (config_.mode == RecoveryMode::kLogBased) return;",
+        "  // RecoveryMode::kNoLog in a comment never fires", "}",
+    ]
+    for rel, want in (("src/msp/fake.cc", [6]), ("src/msp/msp_config.h", []),
+                      ("src/harness/fake.cc", [])):
+        findings = []
+        lint_source(rel, mode_bad, findings)
+        got = [int(f.split(":")[1]) for f in findings if "[mode-branch]" in f]
+        if got != want:
+            sys.exit("lint_msplog: self-test FAILED: mode-branch on %s: "
+                     "expected lines %s, got:\n%s"
+                     % (rel, want, "\n".join(findings)))
     print("lint_msplog: self-test OK")
     return 0
 

@@ -2,8 +2,14 @@
 #include "baseline/state_server.h"
 
 #include "common/serde.h"
+#include "msp/session.h"
 
 namespace msplog {
+
+namespace {
+constexpr char kGet[] = "__ss_get";
+constexpr char kPut[] = "__ss_put";
+}  // namespace
 
 StateServerNode::StateServerNode(SimEnvironment* env, SimNetwork* network,
                                  std::string name)
@@ -39,13 +45,8 @@ void StateServerNode::Loop() {
     Message m;
     if (!Message::Decode(p.wire, &m).ok()) continue;
     if (m.type != MessageType::kRequest) continue;
-    Message r;
-    r.type = MessageType::kReply;
-    r.sender = name_;
-    r.session_id = m.session_id;
-    r.seqno = m.seqno;
-    r.reply_code = ReplyCode::kOk;
-    if (m.method == "__ss_get") {
+    Message r = Message::Reply(name_, m.session_id, m.seqno, ReplyCode::kOk);
+    if (m.method == kGet) {
       audit::LockGuard lk(mu_);
       auto it = store_.find(m.payload);
       if (it == store_.end()) {
@@ -54,7 +55,7 @@ void StateServerNode::Loop() {
         r.payload.push_back('\1');
         r.payload.append(it->second);
       }
-    } else if (m.method == "__ss_put") {
+    } else if (m.method == kPut) {
       BinaryReader br(m.payload);
       Bytes key, blob;
       if (br.GetBytes(&key).ok() && br.GetBytes(&blob).ok()) {
@@ -70,6 +71,37 @@ void StateServerNode::Loop() {
     }
     network_->Send(name_, p.from, r.Encode());
   }
+}
+
+Status StateServerSessionStore::Call(const Session* s, const char* method,
+                                     Bytes payload, Message* reply) {
+  return round_trip_(
+      server_,
+      Message::Request(msp_id_, msp_id_ + "/" + s->id + "@ss",
+                       next_rpc_seqno_.fetch_add(1, std::memory_order_relaxed),
+                       method, std::move(payload)),
+      reply);
+}
+
+Status StateServerSessionStore::Load(Session* s, bool* found) {
+  *found = false;
+  Message rep;
+  MSPLOG_RETURN_IF_ERROR(Call(s, kGet, s->id, &rep));
+  if (rep.payload.empty()) return Status::Corruption("bad state reply");
+  if (rep.payload[0] == 1) {
+    MSPLOG_RETURN_IF_ERROR(
+        s->DecodeCheckpoint(ByteView(rep.payload).substr(1)));
+    *found = true;
+  }
+  return Status::OK();
+}
+
+Status StateServerSessionStore::Save(Session* s) {
+  BinaryWriter w;
+  w.PutBytes(s->id);
+  w.PutBytes(s->EncodeCheckpoint());
+  Message rep;
+  return Call(s, kPut, w.Take(), &rep);
 }
 
 }  // namespace msplog

@@ -59,17 +59,12 @@ void ExecContext::SetSessionVar(const std::string& name, ByteView value) {
 
 Status ExecContext::NextForReplay(LogRecordType expected,
                                   const std::string& key, LogRecord* rec,
-                                  bool* run_live) {
-  *run_live = false;
-  if (live_) {
-    *run_live = true;
-    return Status::OK();
-  }
+                                  bool* logged) {
+  *logged = false;
   if (!cursor_->HasNext()) {
     // §4.3: the log ends mid-request (its tail was lost in the crash) —
     // re-execution becomes execution from here on.
     live_ = true;
-    *run_live = true;
     return Status::OK();
   }
   MSPLOG_RETURN_IF_ERROR(cursor_->Peek(rec));
@@ -78,44 +73,36 @@ Status ExecContext::NextForReplay(LogRecordType expected,
     // write the EOS record, and continue the interrupted action live.
     msp_->OrphanCut(s_, rec->lsn);
     live_ = true;
-    *run_live = true;
     return Status::OK();
   }
-  if (rec->type != expected) {
+  // The logged record must be the operation the re-execution performs: the
+  // same kind, on the same variable (read) or peer (call).
+  const std::string& logged_key =
+      expected == LogRecordType::kSharedRead ? rec->var_id : rec->target;
+  if (rec->type != expected || logged_key != key) {
     msp_->env()->stats().replay_misalignments.fetch_add(1);
-    return Status::Internal("replay misalignment: expected " +
-                            std::string(LogRecordTypeName(expected)) +
-                            ", log has " +
-                            std::string(LogRecordTypeName(rec->type)));
-  }
-  if (expected == LogRecordType::kSharedRead && rec->var_id != key) {
-    msp_->env()->stats().replay_misalignments.fetch_add(1);
-    return Status::Internal("replay misalignment: read of '" + rec->var_id +
-                            "' logged, method read '" + key + "'");
-  }
-  if (expected == LogRecordType::kReplyReceive && rec->target != key) {
-    msp_->env()->stats().replay_misalignments.fetch_add(1);
-    return Status::Internal("replay misalignment: reply from '" +
-                            rec->target + "' logged, method called '" + key +
-                            "'");
+    return Status::Internal(
+        "replay misalignment: method did " +
+        std::string(LogRecordTypeName(expected)) + " '" + key +
+        "', log has " + std::string(LogRecordTypeName(rec->type)) + " '" +
+        logged_key + "'");
   }
   cursor_->Skip();
+  // The session's DV and state number advance exactly as they did when the
+  // record was appended during normal execution.
+  msp_->ReplaySessionRecord(s_, *rec);
+  *logged = true;
   return Status::OK();
 }
 
 Status ExecContext::ReadShared(const std::string& name, Bytes* out) {
-  if (mode_ == Mode::kReplay && !live_) {
+  if (in_replay()) {
     LogRecord rec;
-    bool run_live = false;
+    bool logged = false;
     MSPLOG_RETURN_IF_ERROR(
-        NextForReplay(LogRecordType::kSharedRead, name, &rec, &run_live));
-    if (!run_live) {
-      // §4.1: reading a shared variable gets its value from the log; the
-      // session's DV and state number advance exactly as they did during
-      // normal execution.
-      s_->state_number = rec.lsn;
-      s_->dv.Set(msp_->config().id, StateId{msp_->epoch(), rec.lsn});
-      if (rec.has_dv) msp_->MergeDv(s_, rec.dv);
+        NextForReplay(LogRecordType::kSharedRead, name, &rec, &logged));
+    if (logged) {
+      // §4.1: reading a shared variable gets its value from the log.
       *out = rec.payload;
       return Status::OK();
     }
@@ -124,7 +111,7 @@ Status ExecContext::ReadShared(const std::string& name, Bytes* out) {
 }
 
 Status ExecContext::WriteShared(const std::string& name, ByteView value) {
-  if (mode_ == Mode::kReplay && !live_) {
+  if (in_replay()) {
     // §4.1: writing a shared variable is skipped during replay — the
     // variable has its own separate recovery (roll-forward / undo chain).
     return Status::OK();
@@ -135,17 +122,14 @@ Status ExecContext::WriteShared(const std::string& name, ByteView value) {
 Status ExecContext::UpdateShared(const std::string& name,
                                  const std::function<Bytes(const Bytes&)>& fn,
                                  Bytes* out) {
-  if (mode_ == Mode::kReplay && !live_) {
+  if (in_replay()) {
     LogRecord rec;
-    bool run_live = false;
+    bool logged = false;
     MSPLOG_RETURN_IF_ERROR(
-        NextForReplay(LogRecordType::kSharedRead, name, &rec, &run_live));
-    if (!run_live) {
+        NextForReplay(LogRecordType::kSharedRead, name, &rec, &logged));
+    if (logged) {
       // Same replay rules as a read followed by a (skipped) write: the
       // deterministic `fn` re-derives the value the method continued with.
-      s_->state_number = rec.lsn;
-      s_->dv.Set(msp_->config().id, StateId{msp_->epoch(), rec.lsn});
-      if (rec.has_dv) msp_->MergeDv(s_, rec.dv);
       Bytes result = fn(rec.payload);
       if (out) *out = std::move(result);
       return Status::OK();
@@ -157,23 +141,15 @@ Status ExecContext::UpdateShared(const std::string& name,
 Status ExecContext::Call(const std::string& target_msp,
                          const std::string& method, ByteView arg,
                          Bytes* reply) {
-  if (mode_ == Mode::kReplay && !live_) {
+  if (in_replay()) {
     LogRecord rec;
-    bool run_live = false;
+    bool logged = false;
     MSPLOG_RETURN_IF_ERROR(NextForReplay(LogRecordType::kReplyReceive,
-                                         target_msp, &rec, &run_live));
-    if (!run_live) {
+                                         target_msp, &rec, &logged));
+    if (logged) {
       // §4.1: requests to other MSPs are not sent; the reply is read from
       // the log.
-      auto& o = s_->outgoing[target_msp];
-      if (o.session_id.empty()) {
-        o.target = target_msp;
-        o.session_id = msp_->config().id + "/" + s_->id + ">" + target_msp;
-      }
-      o.next_seqno = rec.seqno + 1;
-      s_->state_number = rec.lsn;
-      s_->dv.Set(msp_->config().id, StateId{msp_->epoch(), rec.lsn});
-      if (rec.has_dv) msp_->MergeDv(s_, rec.dv);
+      s_->OutgoingTo(msp_->config().id, target_msp).next_seqno = rec.seqno + 1;
       *reply = rec.payload;
       if (static_cast<ReplyCode>(rec.aux) == ReplyCode::kAppError) {
         return Status::Aborted("remote application error: " + *reply);

@@ -101,15 +101,15 @@ class ExecContext : public ServiceContext {
   const obs::SpanContext& span() const { return span_; }
 
  private:
-  /// Decide how a replay-mode operation proceeds:
-  ///  - returns OK with *run_live=false and *rec filled: consume the logged
-  ///    record (the caller must cursor_->Skip());
-  ///  - returns OK with *run_live=true: the context switched to live
-  ///    execution (orphan cut done if needed); run the operation normally;
-  ///  - returns Internal: the position stream does not match the
-  ///    re-execution (nondeterministic service method).
+  /// Next step of a replaying operation (in_replay() holds):
+  ///  - OK with *logged=true and *rec filled: the logged record was consumed
+  ///    (Msp::ReplaySessionRecord); the operation takes its outcome from it;
+  ///  - OK with *logged=false: the context switched to live execution (the
+  ///    log ended, or an orphan record was cut); run the operation normally;
+  ///  - Internal: the position stream does not match the re-execution
+  ///    (nondeterministic service method).
   Status NextForReplay(LogRecordType expected, const std::string& key,
-                       LogRecord* rec, bool* run_live);
+                       LogRecord* rec, bool* logged);
 
   Msp* msp_;
   Session* s_;

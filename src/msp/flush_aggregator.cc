@@ -52,10 +52,7 @@ std::shared_ptr<FlushWaiter> FlushAggregator::Submit(
         f.waiters.push_back(w);
         ctr_coalesced_->Add(1);
         ctr_msgs_saved_->Add(1);
-        obs::SpanContext jspan;
-        if (f.span.valid()) {
-          jspan = {f.span.trace_id, obs::NextSpanId(), f.span.span_id};
-        }
+        const obs::SpanContext jspan = f.span.Child();
         env_->tracer().Record(obs::TraceEventType::kFlushLegJoin,
                               env_->NowModelMs(), opts_.self, /*session=*/"",
                               /*seqno=*/fit->first, "peer=" + peer, jspan);
@@ -85,9 +82,7 @@ void FlushAggregator::LaunchLocked(
   f.peer = peer;
   f.target = target;
   f.round = 1;
-  if (parent_span.valid()) {
-    f.span = {parent_span.trace_id, obs::NextSpanId(), parent_span.span_id};
-  }
+  f.span = parent_span.Child();
 
   // The aggregator is the only producer of kFlushRequest messages (lint rule
   // `flush-send`): flush_sn is a "flush up to" bound, so this one message

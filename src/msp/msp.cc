@@ -1,27 +1,18 @@
+// The MSP core: lifecycle, dispatch, the request path (log-based §3 and the
+// §5 baselines), value-logged shared variables and outgoing calls. See
+// msp.h for the file map.
 #include "audit/mutex.h"
 #include "msp/msp.h"
 
 #include <algorithm>
-#include <cassert>
-#include <chrono>
-#include <cstdio>
 #include <thread>
 
 #include "audit/invariants.h"
+#include "baseline/state_server.h"
 #include "msp/exec_context.h"
 #include "msp/recovery_coordinator.h"
 
 namespace msplog {
-
-namespace {
-/// Sends of one outgoing call (and rounds of one distributed-flush leg)
-/// before it gives up.
-constexpr uint32_t kMaxCallSends = 200;
-
-std::string PosFileName(const std::string& msp, const std::string& session) {
-  return "pos/" + msp + "/" + session;
-}
-}  // namespace
 
 Msp::Msp(SimEnvironment* env, SimNetwork* network, SimDisk* disk,
          DomainDirectory* directory, MspConfig config)
@@ -90,6 +81,12 @@ int64_t Msp::RealWaitMs(double model_ms) const {
       1, static_cast<int64_t>(model_ms * env_->time_scale()));
 }
 
+std::shared_ptr<Session> Msp::NewSession(const std::string& id,
+                                         const std::string& client) const {
+  return std::make_shared<Session>(id, client, disk_,
+                                   "pos/" + config_.id + "/" + id);
+}
+
 std::shared_ptr<Session> Msp::GetSession(const std::string& id) const {
   audit::LockGuard lk(sessions_mu_);
   auto it = sessions_.find(id);
@@ -107,21 +104,6 @@ Status Msp::Start() {
     return Status::InvalidArgument("MSP already running");
   }
 
-  LogFileOptions lopt;
-  lopt.batch_flush = config_.batch_flush;
-  lopt.batch_timeout_ms = config_.batch_timeout_ms;
-  if (config_.cpu_per_flush_ms > 0) {
-    lopt.on_physical_write = [this] { ChargeCpu(config_.cpu_per_flush_ms); };
-  }
-  log_ = std::make_unique<LogFile>(env_, disk_, config_.id + ".log", lopt);
-  inbound_flush_ = std::make_unique<InboundFlushCoalescer>(
-      env_,
-      // audit:allow(blocking-under-lock): lambda runs on control-pool
-      // threads when requests drain, not under the lifecycle lock here.
-      [this](uint64_t flush_sn) { return log_->FlushUpTo(flush_sn); },
-      [this](const InboundFlushCoalescer::Request& r) {
-        SendFlushReply(r.sender, r.flush_id, /*ok=*/true, 0, 0);
-      });
   pool_ = std::make_unique<ThreadPool>(config_.thread_pool_size);
   control_pool_ = std::make_unique<ThreadPool>(2);
   {
@@ -144,35 +126,72 @@ Status Msp::Start() {
   }
   last_msp_cp_log_end_.store(0);
 
-  if (config_.mode == RecoveryMode::kPsession) {
-    psession_db_ = std::make_unique<KvDb>(env_, disk_, config_.id + ".db");
-    MSPLOG_RETURN_IF_ERROR(psession_db_->Recover());
-  }
-
-  if (config_.mode == RecoveryMode::kLogBased) {
-    // Crash recovery runs on EVERY start — a restarted process cannot tell
-    // whether its previous incarnation crashed before flushing anything, and
-    // reusing an epoch after such a crash would let lost state numbers be
-    // reissued. A genuinely fresh boot just bumps to epoch 1 with an empty
-    // scan, which is harmless. Only the bounded analysis pass and the open
-    // preparation run here (phased coordinator); no session is replayed yet.
-    state_.store(State::kRecovering);
-    MSPLOG_RETURN_IF_ERROR(CrashRecovery());
+  // The one place the recovery mode is read: build the log side of the
+  // paper's system, or the session store of a §5 baseline.
+  switch (config_.mode) {
+    case RecoveryMode::kLogBased: {
+      LogFileOptions lopt;
+      lopt.batch_flush = config_.batch_flush;
+      lopt.batch_timeout_ms = config_.batch_timeout_ms;
+      if (config_.cpu_per_flush_ms > 0) {
+        lopt.on_physical_write = [this] {
+          ChargeCpu(config_.cpu_per_flush_ms);
+        };
+      }
+      log_ = std::make_unique<LogFile>(env_, disk_, config_.id + ".log", lopt);
+      inbound_flush_ = std::make_unique<InboundFlushCoalescer>(
+          env_,
+          // audit:allow(blocking-under-lock): lambda runs on control-pool
+          // threads when requests drain, not under the lifecycle lock here.
+          [this](uint64_t flush_sn) { return log_->FlushUpTo(flush_sn); },
+          [this](const InboundFlushCoalescer::Request& r) {
+            SendFlushReply(r.sender, r.flush_id, /*ok=*/true, 0, 0);
+          });
+      // Crash recovery runs on EVERY start — a restarted process cannot tell
+      // whether its previous incarnation crashed before flushing anything,
+      // and reusing an epoch after such a crash would let lost state numbers
+      // be reissued. A genuinely fresh boot just bumps to epoch 1 with an
+      // empty scan, which is harmless. Only the bounded analysis pass and
+      // the open preparation run here (recovery_coordinator.h); no session
+      // is replayed yet: the drain starts once the mailbox is live, raced by
+      // on-demand admissions (HandleRequestMsg).
+      state_.store(State::kRecovering);
+      recovery_coordinator_ = std::make_unique<RecoveryCoordinator>(this);
+      MSPLOG_RETURN_IF_ERROR(recovery_coordinator_->RunAnalysis());
+      MSPLOG_RETURN_IF_ERROR(recovery_coordinator_->PrepareOpen());
+      break;
+    }
+    case RecoveryMode::kPsession: {
+      auto db = std::make_unique<KvDbSessionStore>(env_, disk_,
+                                                   config_.id + ".db");
+      MSPLOG_RETURN_IF_ERROR(db->Recover());
+      store_ = std::move(db);
+      break;
+    }
+    case RecoveryMode::kStateServer:
+      store_ = std::make_unique<StateServerSessionStore>(
+          config_.id, config_.state_server,
+          [this](const std::string& dest, const Message& req, Message* rep) {
+            return CallRoundTrip(dest, req, /*check_orphan_reply=*/false, rep);
+          });
+      break;
+    case RecoveryMode::kNoLog:
+      break;
   }
 
   mailbox_ = network_->Register(config_.id);
   state_.store(State::kRunning);
   dispatch_thread_ = std::thread([this] { DispatchLoop(); });
-  if (config_.checkpoint_daemon && config_.mode == RecoveryMode::kLogBased) {
-    checkpoint_thread_ = std::thread([this] { CheckpointDaemonLoop(); });
-  }
-
-  // Instant restart (§4.3 + on-demand REDO): the server is open as of the
-  // state transition above. Surviving sessions replay in background
-  // priority order; a request for a not-yet-replayed session jumps the
-  // queue through the HandleRequestMsg admission gate. sequential_recovery
-  // (the ablation) drains one session at a time inside the coordinator.
-  if (config_.mode == RecoveryMode::kLogBased) {
+  if (log_) {
+    if (config_.checkpoint_daemon) {
+      checkpoint_thread_ = std::thread([this] { CheckpointDaemonLoop(); });
+    }
+    // Instant restart (§4.3 + on-demand REDO): the server is open as of the
+    // state transition above. Surviving sessions replay in background
+    // priority order; a request for a not-yet-replayed session jumps the
+    // queue through the HandleRequestMsg admission gate.
+    // sequential_recovery (the ablation) drains one session at a time
+    // inside the coordinator.
     recovery_coordinator_->BeginBackgroundDrain();
   }
 
@@ -249,10 +268,7 @@ void Msp::CrashLocked(bool is_crash) {
     audit::LockGuard lk(vars_mu_);
     for (auto& [name, v] : shared_vars_) {
       audit::SharedUniqueLock vlk(v->rw);
-      v->value = v->initial_value;
-      v->dv.Clear();
-      v->state_number = 0;
-      v->last_write_lsn = 0;
+      v->RestoreLocked(v->initial_value, DependencyVector(), 0);
       v->last_checkpoint_lsn = 0;
       v->writes_since_cp = 0;
       v->msp_cps_since_cp = 0;
@@ -263,7 +279,7 @@ void Msp::CrashLocked(bool is_crash) {
     pending_calls_.clear();
   }
   inbound_flush_.reset();
-  psession_db_.reset();
+  store_.reset();
   {
     // Detach the scraper probe before the pool dies: the probe thread only
     // dereferences probe_pool_ under probe_mu_, so after this block no
@@ -319,19 +335,22 @@ void Msp::DispatchLoop() {
   }
 }
 
-void Msp::SendBusyReply(const Message& req) {
-  Message r;
-  r.type = MessageType::kReply;
-  r.sender = config_.id;
-  r.session_id = req.session_id;
-  r.seqno = req.seqno;
-  r.reply_code = ReplyCode::kBusy;
-  network_->Send(config_.id, req.sender, r.Encode());
+bool Msp::ArmWorkerLocked(Session* s) {
+  if (s->worker_active || s->recovering) return false;
+  s->worker_active = true;
+  return true;
+}
+
+void Msp::SubmitWorker(std::shared_ptr<Session> s) {
+  pool_->Submit([this, s = std::move(s)] { SessionWorker(s); });
 }
 
 void Msp::HandleRequestMsg(Message m) {
   if (state_.load() != State::kRunning) {
-    SendBusyReply(m);
+    network_->Send(config_.id, m.sender,
+                   Message::Reply(config_.id, m.session_id, m.seqno,
+                                  ReplyCode::kBusy)
+                       .Encode());
     return;
   }
   std::shared_ptr<Session> s;
@@ -342,8 +361,7 @@ void Msp::HandleRequestMsg(Message m) {
     audit::LockGuard lk(sessions_mu_);
     auto it = sessions_.find(m.session_id);
     if (it == sessions_.end()) {
-      s = std::make_shared<Session>(m.session_id, m.sender, disk_,
-                                    PosFileName(config_.id, m.session_id));
+      s = NewSession(m.session_id, m.sender);
       sessions_[m.session_id] = s;
     } else {
       s = it->second;
@@ -354,12 +372,8 @@ void Msp::HandleRequestMsg(Message m) {
       double now_ms = env_->NowModelMs();
       // Allocate this request's server-side span, parented on the span the
       // sender stamped on the wire (client root or caller's request span).
-      obs::SpanContext span;
-      if (m.trace_id != 0) {
-        span.trace_id = m.trace_id;
-        span.span_id = obs::NextSpanId();
-        span.parent_span_id = m.parent_span_id;
-      }
+      const obs::SpanContext span =
+          obs::SpanContext{m.trace_id, m.parent_span_id, 0}.Child();
       env_->tracer().Record(obs::TraceEventType::kEnqueue, now_ms, config_.id,
                             m.session_id, m.seqno, m.method, span);
       s->pending_requests.push_back({std::move(m), now_ms, span});
@@ -372,32 +386,25 @@ void Msp::HandleRequestMsg(Message m) {
         // replayed history. If a replay already owns the session
         // (replay_claimed), queueing behind it is all that is needed.
         on_demand = !s->replay_claimed;
-      } else if (!s->worker_active) {
-        s->worker_active = true;
-        arm = true;
+      } else {
+        arm = ArmWorkerLocked(s.get());
       }
     }
   }
   if (ended) {
     // A request to an ended session gets a definitive error rather than
     // silence — the client should not retry forever.
-    Message r;
-    r.type = MessageType::kReply;
-    r.sender = config_.id;
-    r.session_id = m.session_id;
-    r.seqno = m.seqno;
-    r.reply_code = ReplyCode::kAppError;
-    r.payload = "session ended";
-    network_->Send(config_.id, m.sender, r.Encode());
+    network_->Send(config_.id, m.sender,
+                   Message::Reply(config_.id, m.session_id, m.seqno,
+                                  ReplyCode::kAppError, "session ended")
+                       .Encode());
     return;
   }
   if (on_demand) {
     pool_->Submit([this, s] { SessionRecoveryTask(s, /*on_demand=*/true); });
     return;
   }
-  if (arm) {
-    pool_->Submit([this, s] { SessionWorker(s); });
-  }
+  if (arm) SubmitWorker(std::move(s));
 }
 
 void Msp::SessionWorker(std::shared_ptr<Session> s) {
@@ -439,8 +446,8 @@ void Msp::SessionWorker(std::shared_ptr<Session> s) {
       continue;
     }
     if (take_cp) {
-      if (config_.mode == RecoveryMode::kLogBased && !s->ended &&
-          s->first_lsn.load() != 0) {
+      // Only the MSP checkpoint sets needs_checkpoint, so a log exists.
+      if (!s->ended && s->first_lsn.load() != 0) {
         Status st = TakeSessionCheckpoint(s.get());
         if (st.IsOrphan()) (void)RecoverSessionReplay(s.get());
       }
@@ -451,23 +458,17 @@ void Msp::SessionWorker(std::shared_ptr<Session> s) {
       hist_queue_wait_ms_->Record(t_start - enqueue_ms);
       env_->tracer().Record(obs::TraceEventType::kDequeue, t_start, config_.id,
                             s->id, m.seqno, m.method, span);
-      ProcessRequest(s, m, span);
+      // kCrashed/kTimedOut: the client resends; nothing more to do here.
+      (void)(log_ ? ProcessRequestLogBased(s.get(), m, span)
+                  : ProcessRequestBaseline(s.get(), m, span));
       hist_request_ms_->Record(env_->NowModelMs() - t_start);
       ctr_requests_->Add(1);
     }
   }
 }
 
-void Msp::ProcessRequest(const std::shared_ptr<Session>& s, const Message& m,
-                         const obs::SpanContext& span) {
-  Status st = config_.mode == RecoveryMode::kLogBased
-                  ? ProcessRequestLogBased(s.get(), m, span)
-                  : ProcessRequestBaseline(s.get(), m, span);
-  (void)st;  // kCrashed/kTimedOut: client resends; nothing more to do here
-}
-
 // ---------------------------------------------------------------------------
-// Request processing — log-based mode (§3)
+// Request processing — log-based (§3)
 // ---------------------------------------------------------------------------
 
 Status Msp::ProcessRequestLogBased(Session* s, const Message& m,
@@ -509,13 +510,9 @@ Status Msp::ProcessRequestLogBased(Session* s, const Message& m,
       env_->tracer().Record(obs::TraceEventType::kOrphanDetected,
                             env_->NowModelMs(), config_.id, s->id, m.seqno,
                             "witness=" + witness->msp);
-      Message r;
-      r.type = MessageType::kReply;
-      r.sender = config_.id;
-      r.session_id = s->id;
-      r.seqno = m.seqno;
-      r.reply_code = ReplyCode::kOrphanNotice;
-      r.payload = witness->msp;  // which peer's recovery condemned it
+      // The payload names the peer whose recovery condemned the message.
+      Message r = Message::Reply(config_.id, s->id, m.seqno,
+                                 ReplyCode::kOrphanNotice, witness->msp);
       r.rec_epoch = witness->epoch;
       r.rec_sn = witness->recovered_sn;
       network_->Send(config_.id, m.sender, r.Encode());
@@ -529,14 +526,11 @@ Status Msp::ProcessRequestLogBased(Session* s, const Message& m,
     // unreachable target's session is cleaned up by its own end-of-life
     // handling when requests for it error out.
     for (auto& [target, o] : s->outgoing) {
-      Message endreq;
-      endreq.type = MessageType::kRequest;
-      endreq.sender = config_.id;
-      endreq.session_id = o.session_id;
-      endreq.seqno = o.next_seqno;
-      endreq.method = "__end_session";
       Message rep;
-      (void)CallRoundTrip(target, endreq, /*check_orphan_reply=*/false, &rep,
+      (void)CallRoundTrip(target,
+                          Message::Request(config_.id, o.session_id,
+                                           o.next_seqno, "__end_session"),
+                          /*check_orphan_reply=*/false, &rep,
                           /*max_sends=*/3);
     }
     LogRecord end;
@@ -577,22 +571,8 @@ Status Msp::ProcessRequestLogBased(Session* s, const Message& m,
     if (m.has_dv) MergeDv(s, m.dv);
   }
 
-  // Execute the service method.
-  ExecContext ctx(this, s, ExecContext::Mode::kNormal, m.seqno, nullptr, span);
   Bytes result;
-  s->calls_in_request = 0;
-  env_->tracer().Record(obs::TraceEventType::kExecStart, env_->NowModelMs(),
-                        config_.id, s->id, m.seqno, m.method, span);
-  double exec_t0 = env_->NowModelMs();
-  Status st = InvokeMethod(m.method, &ctx, m.payload, &result);
-  double exec_t1 = env_->NowModelMs();
-  hist_execute_ms_->Record(exec_t1 - exec_t0);
-  env_->tracer().Record(obs::TraceEventType::kExecEnd, exec_t1, config_.id,
-                        s->id, m.seqno, st.ok() ? "" : st.ToString(), span);
-  s->stats.OnRequest();
-  s->stats.OnRequestFanout(s->calls_in_request);
-  s->calls_in_request = 0;
-  s->stats.SetDvEntries(s->dv.entry_count());
+  Status st = ExecuteRequest(s, m, span, &result);
   if (st.IsOrphan()) return RecoverSessionReplay(s);
   if (st.IsCrashed() || st.IsTimedOut()) return st;
 
@@ -617,6 +597,67 @@ Status Msp::ProcessRequestLogBased(Session* s, const Message& m,
   return Status::OK();
 }
 
+// ---------------------------------------------------------------------------
+// Request processing — the §5 baselines
+// ---------------------------------------------------------------------------
+
+Status Msp::ProcessRequestBaseline(Session* s, const Message& m,
+                                   const obs::SpanContext& span) {
+  if (m.method == "__end_session") {
+    {
+      audit::LockGuard lk(sessions_mu_);
+      s->ended = true;
+    }
+    return SendReply(s, ReplyCode::kOk, "", m.seqno, span);
+  }
+  bool state_found = false;
+  if (store_) MSPLOG_RETURN_IF_ERROR(store_->Load(s, &state_found));
+  if (m.seqno < s->next_expected_seqno) {
+    if (s->buffered_reply.valid && s->buffered_reply.seqno == m.seqno) {
+      return SendReply(s, s->buffered_reply.code, s->buffered_reply.payload,
+                       m.seqno, span);
+    }
+    return Status::OK();
+  }
+  if (m.seqno > s->next_expected_seqno) {
+    // The duplicate-detection state was lost (NoLog crash, or the state
+    // server died): accept the client's sequence as the new truth. This is
+    // exactly the exactly-once guarantee these baselines lack.
+    if (state_found) return Status::OK();
+    s->next_expected_seqno = m.seqno;
+  }
+
+  Bytes result;
+  Status st = ExecuteRequest(s, m, span, &result);
+  if (st.IsCrashed() || st.IsTimedOut()) return st;
+  ReplyCode code = st.ok() ? ReplyCode::kOk : ReplyCode::kAppError;
+  Bytes payload = st.ok() ? std::move(result) : Bytes(st.ToString());
+
+  s->buffered_reply = {true, m.seqno, code, payload};
+  s->next_expected_seqno = m.seqno + 1;
+  if (store_) MSPLOG_RETURN_IF_ERROR(store_->Save(s));
+  return SendReply(s, code, payload, m.seqno, span);
+}
+
+Status Msp::ExecuteRequest(Session* s, const Message& m,
+                           const obs::SpanContext& span, Bytes* result) {
+  ExecContext ctx(this, s, ExecContext::Mode::kNormal, m.seqno, nullptr, span);
+  s->calls_in_request = 0;
+  env_->tracer().Record(obs::TraceEventType::kExecStart, env_->NowModelMs(),
+                        config_.id, s->id, m.seqno, m.method, span);
+  double exec_t0 = env_->NowModelMs();
+  Status st = InvokeMethod(m.method, &ctx, m.payload, result);
+  double exec_t1 = env_->NowModelMs();
+  hist_execute_ms_->Record(exec_t1 - exec_t0);
+  env_->tracer().Record(obs::TraceEventType::kExecEnd, exec_t1, config_.id,
+                        s->id, m.seqno, st.ok() ? "" : st.ToString(), span);
+  s->stats.OnRequest();
+  s->stats.OnRequestFanout(s->calls_in_request);
+  s->calls_in_request = 0;
+  s->stats.SetDvEntries(s->dv.entry_count());
+  return st;
+}
+
 Status Msp::InvokeMethod(const std::string& method, ExecContext* ctx,
                          const Bytes& arg, Bytes* result) {
   auto it = methods_.find(method);
@@ -628,47 +669,48 @@ Status Msp::InvokeMethod(const std::string& method, ExecContext* ctx,
 
 Status Msp::SendReply(Session* s, ReplyCode code, const Bytes& payload,
                       uint64_t seqno, const obs::SpanContext& span) {
-  Message r;
-  r.type = MessageType::kReply;
-  r.sender = config_.id;
-  r.session_id = s->id;
-  r.seqno = seqno;
-  r.reply_code = code;
-  r.payload = payload;
+  Message r = Message::Reply(config_.id, s->id, seqno, code, payload);
   // Echo the trace back: the reply's parent is this server's request span.
   r.trace_id = span.trace_id;
   r.parent_span_id = span.span_id;
   const Bytes* dv_wire = nullptr;
-  if (config_.mode == RecoveryMode::kLogBased) {
-    if (IntraDomain(s->client)) {
-      // Optimistic: attach the sender session's DV (Fig. 7) — or the whole
-      // process's DV in the §3.2-strawman mode. The per-session path splices
-      // the session's cached wire encoding instead of copying the DV map
-      // into the message.
-      r.has_dv = true;
-      if (config_.per_session_dv) {
-        dv_wire = &s->CachedDvWire();
-        env_->stats().dv_entries_attached.fetch_add(s->dv.entry_count());
-      } else {
-        r.dv = MspWideDv(s);
-        env_->stats().dv_entries_attached.fetch_add(r.dv.entry_count());
-      }
-      s->stats.OnPiggybackedSend();
-    } else {
-      // Pessimistic: output messages must never become orphans (§2.3).
-      DependencyVector flush_dv =
-          config_.per_session_dv ? s->dv : MspWideDv(s);
-      MSPLOG_RETURN_IF_ERROR(DistributedFlush(flush_dv, span, s));
-      audit::CheckWalBeforeSend("reply to " + s->client, config_.id,
-                                epoch_.load(), flush_dv,
-                                log_->durable_lsn());
-    }
-  }
+  MSPLOG_RETURN_IF_ERROR(
+      GuardSend(s, s->client, "reply to ", &r, &dv_wire, span));
   Bytes wire;
   r.AppendTo(&wire, dv_wire);
   network_->Send(config_.id, s->client, std::move(wire));
   env_->tracer().Record(obs::TraceEventType::kReplySent, env_->NowModelMs(),
                         config_.id, s->id, seqno, "", span);
+  return Status::OK();
+}
+
+Status Msp::GuardSend(Session* s, const std::string& dest, const char* what,
+                      Message* msg, const Bytes** dv_wire,
+                      const obs::SpanContext& span) {
+  if (!log_) return Status::OK();
+  if (IntraDomain(dest)) {
+    // Optimistic: attach the sender session's DV (Fig. 7) — or the whole
+    // process's DV in the §3.2-strawman mode. The per-session path splices
+    // the session's cached wire encoding instead of copying the DV map into
+    // the message (the cache stays valid until the message is encoded: only
+    // this worker thread mutates s->dv).
+    msg->has_dv = true;
+    if (config_.per_session_dv) {
+      *dv_wire = &s->CachedDvWire();
+      env_->stats().dv_entries_attached.fetch_add(s->dv.entry_count());
+    } else {
+      msg->dv = MspWideDv(s);
+      env_->stats().dv_entries_attached.fetch_add(msg->dv.entry_count());
+    }
+    s->stats.OnPiggybackedSend();
+    return Status::OK();
+  }
+  // Pessimistic: a message leaving the service domain must never become an
+  // orphan (§2.3), so our dependencies are flushed before it is sent.
+  DependencyVector flush_dv = config_.per_session_dv ? s->dv : MspWideDv(s);
+  MSPLOG_RETURN_IF_ERROR(DistributedFlush(flush_dv, span, s));
+  audit::CheckWalBeforeSend(what + dest, config_.id, epoch_.load(), flush_dv,
+                            log_->durable_lsn());
   return Status::OK();
 }
 
@@ -704,6 +746,23 @@ uint64_t Msp::AppendSessionRecord(Session* s, LogRecord rec) {
   return lsn;
 }
 
+void Msp::ReplaySessionRecord(Session* s, const LogRecord& rec) {
+  s->state_number = rec.lsn;
+  s->dv.Set(config_.id, StateId{epoch_.load(), rec.lsn});
+  if (rec.has_dv) MergeDv(s, rec.dv);
+}
+
+// ---------------------------------------------------------------------------
+// Shared variables (§3.3)
+// ---------------------------------------------------------------------------
+
+std::shared_ptr<SharedVariable> Msp::FindSharedVar(
+    const std::string& name) const {
+  audit::LockGuard lk(vars_mu_);
+  auto it = shared_vars_.find(name);
+  return it == shared_vars_.end() ? nullptr : it->second;
+}
+
 std::shared_ptr<SharedVariable> Msp::GetOrCreateSharedVar(
     const std::string& name) {
   audit::LockGuard lk(vars_mu_);
@@ -714,70 +773,26 @@ std::shared_ptr<SharedVariable> Msp::GetOrCreateSharedVar(
   return v;
 }
 
-Status Msp::SharedReadImpl(Session* s, const std::string& name, Bytes* out) {
-  auto var = GetOrCreateSharedVar(name);
-  if (config_.mode != RecoveryMode::kLogBased) {
-    audit::SharedLock lk(var->rw);
-    *out = var->value;
-    return Status::OK();
-  }
-  // Interception point: the reader session's own orphan status.
-  if (SessionIsOrphan(s)) return Status::Orphan("session " + s->id);
-
-  // Fig. 8, read: check whether the variable's value is an orphan; if so,
-  // the reader itself rolls it back along the backward chain (§4.2).
-  audit::SharedLock rlk(var->rw);
-  if (DvIsOrphan(var->dv)) {
-    rlk.unlock();
-    audit::SharedUniqueLock wlk(var->rw);
-    if (DvIsOrphan(var->dv)) {
-      env_->stats().orphans_detected.fetch_add(1);
-      MSPLOG_RETURN_IF_ERROR(UndoSharedVariable(var.get()));
-    }
-    // Value logging under the exclusive lock — correct, just conservative.
-    LogRecord rec;
-    rec.type = LogRecordType::kSharedRead;
-    rec.var_id = name;
-    rec.payload = var->value;
-    rec.has_dv = true;
-    rec.dv = var->dv;
-    AppendSessionRecord(s, rec);
-    MergeDv(s, var->dv);
-    *out = var->value;
-    return Status::OK();
-  }
+void Msp::LogSharedRead(Session* s, const SharedVariable& var, Bytes* out) {
   LogRecord rec;
   rec.type = LogRecordType::kSharedRead;
-  rec.var_id = name;
-  rec.payload = var->value;
+  rec.var_id = var.name;
+  rec.payload = var.value;
   rec.has_dv = true;
-  rec.dv = var->dv;
+  rec.dv = var.dv;
   AppendSessionRecord(s, rec);
-  MergeDv(s, var->dv);
-  *out = var->value;
-  return Status::OK();
+  MergeDv(s, var.dv);
+  if (out) *out = var.value;
 }
 
-Status Msp::SharedWriteImpl(Session* s, const std::string& name,
-                            ByteView value) {
-  auto var = GetOrCreateSharedVar(name);
-  if (config_.mode != RecoveryMode::kLogBased) {
-    audit::SharedUniqueLock lk(var->rw);
-    var->value = Bytes(value);
-    return Status::OK();
-  }
-  if (SessionIsOrphan(s)) return Status::Orphan("session " + s->id);
-
-  audit::SharedUniqueLock lk(var->rw);
-  // Fig. 8, write: the writer need not check whether the existing value is
-  // an orphan — it is being replaced. The write record carries the writer
-  // session's DV, the new value, and the LSN of the previous write record
-  // (backward chain).
+Status Msp::LogSharedWrite(Session* s, SharedVariable* var, Bytes value) {
+  // Fig. 8, write: the write record carries the writer session's DV, the
+  // new value, and the LSN of the previous write record (backward chain).
   LogRecord rec;
   rec.type = LogRecordType::kSharedWrite;
   rec.session_id = s->id;
-  rec.var_id = name;
-  rec.payload = Bytes(value);
+  rec.var_id = var->name;
+  rec.payload = std::move(value);
   rec.has_dv = true;
   rec.dv = s->dv;
   rec.prev_lsn = var->last_write_lsn;
@@ -796,29 +811,66 @@ Status Msp::SharedWriteImpl(Session* s, const std::string& name,
   var->dv.ReplaceWith(s->dv);
   var->state_number = lsn;
   var->last_write_lsn = lsn;
-  var->value = Bytes(value);
+  var->value = std::move(rec.payload);
   var->writes_since_cp++;
 
   if (config_.shared_var_checkpoint_threshold_writes > 0 &&
       var->writes_since_cp >= config_.shared_var_checkpoint_threshold_writes) {
-    Status st = TakeSharedVarCheckpoint(var.get());
-    if (st.IsOrphan()) {
-      // The variable's value turned out to be an orphan during the
-      // checkpoint flush: roll it back instead of checkpointing (§4.2).
-      env_->stats().orphans_detected.fetch_add(1);
-      MSPLOG_RETURN_IF_ERROR(UndoSharedVariable(var.get()));
-    } else if (!st.ok() && !st.IsCrashed()) {
-      return st;
-    }
+    Status st = CheckpointOrUndo(var);
+    if (!st.ok() && !st.IsCrashed()) return st;
   }
   return Status::OK();
+}
+
+Status Msp::SharedReadImpl(Session* s, const std::string& name, Bytes* out) {
+  auto var = GetOrCreateSharedVar(name);
+  if (!log_) {
+    audit::SharedLock lk(var->rw);
+    *out = var->value;
+    return Status::OK();
+  }
+  // Interception point: the reader session's own orphan status.
+  if (SessionIsOrphan(s)) return Status::Orphan("session " + s->id);
+
+  // Fig. 8, read: check whether the variable's value is an orphan; if so,
+  // the reader itself rolls it back along the backward chain (§4.2), and
+  // logs the read under the exclusive lock — correct, just conservative.
+  {
+    audit::SharedLock rlk(var->rw);
+    if (!DvIsOrphan(var->dv)) {
+      LogSharedRead(s, *var, out);
+      return Status::OK();
+    }
+  }
+  audit::SharedUniqueLock wlk(var->rw);
+  if (DvIsOrphan(var->dv)) {
+    MSPLOG_RETURN_IF_ERROR(UndoSharedVariable(var.get()));
+  }
+  LogSharedRead(s, *var, out);
+  return Status::OK();
+}
+
+Status Msp::SharedWriteImpl(Session* s, const std::string& name,
+                            ByteView value) {
+  auto var = GetOrCreateSharedVar(name);
+  if (!log_) {
+    audit::SharedUniqueLock lk(var->rw);
+    var->value = Bytes(value);
+    return Status::OK();
+  }
+  if (SessionIsOrphan(s)) return Status::Orphan("session " + s->id);
+
+  // The writer need not check whether the existing value is an orphan — it
+  // is being replaced.
+  audit::SharedUniqueLock lk(var->rw);
+  return LogSharedWrite(s, var.get(), Bytes(value));
 }
 
 Status Msp::SharedUpdateImpl(Session* s, const std::string& name,
                              const std::function<Bytes(const Bytes&)>& fn,
                              Bytes* out) {
   auto var = GetOrCreateSharedVar(name);
-  if (config_.mode != RecoveryMode::kLogBased) {
+  if (!log_) {
     audit::SharedUniqueLock lk(var->rw);
     var->value = fn(var->value);
     if (out) *out = var->value;
@@ -832,236 +884,48 @@ Status Msp::SharedUpdateImpl(Session* s, const std::string& name,
   // lock scope differs.
   audit::SharedUniqueLock lk(var->rw);
   if (DvIsOrphan(var->dv)) {
-    env_->stats().orphans_detected.fetch_add(1);
     MSPLOG_RETURN_IF_ERROR(UndoSharedVariable(var.get()));
   }
-  LogRecord read;
-  read.type = LogRecordType::kSharedRead;
-  read.var_id = name;
-  read.payload = var->value;
-  read.has_dv = true;
-  read.dv = var->dv;
-  AppendSessionRecord(s, read);
-  MergeDv(s, var->dv);
-
+  LogSharedRead(s, *var, /*out=*/nullptr);
   Bytes newval = fn(var->value);
-
-  LogRecord write;
-  write.type = LogRecordType::kSharedWrite;
-  write.session_id = s->id;
-  write.var_id = name;
-  write.payload = newval;
-  write.has_dv = true;
-  write.dv = s->dv;
-  write.prev_lsn = var->last_write_lsn;
-  size_t framed = 0;
-  uint64_t lsn = log_->Append(write, &framed);
-  s->bytes_logged_since_cp += framed;
-  s->stats.OnLogAppend(framed);
-
-  var->dv.ReplaceWith(s->dv);
-  var->state_number = lsn;
-  var->last_write_lsn = lsn;
-  var->value = newval;
-  var->writes_since_cp++;
-  if (out) *out = std::move(newval);
-
-  if (config_.shared_var_checkpoint_threshold_writes > 0 &&
-      var->writes_since_cp >= config_.shared_var_checkpoint_threshold_writes) {
-    Status st = TakeSharedVarCheckpoint(var.get());
-    if (st.IsOrphan()) {
-      env_->stats().orphans_detected.fetch_add(1);
-      MSPLOG_RETURN_IF_ERROR(UndoSharedVariable(var.get()));
-    } else if (!st.ok() && !st.IsCrashed()) {
-      return st;
-    }
-  }
-  return Status::OK();
-}
-
-Status Msp::UndoSharedVariable(SharedVariable* var) {
-  // Follow the backward chain of write records to the most recent
-  // non-orphan value (§4.2 — undo recovery). The chain breaks at
-  // shared-variable checkpoints, whose values are never orphans.
-  uint64_t lsn = var->last_write_lsn;
-  while (lsn != 0) {
-    LogRecord rec;
-    Status st = log_->ReadRecordAt(lsn, &rec);
-    if (!st.ok()) return st;
-    if (rec.type == LogRecordType::kSharedVarCheckpoint) {
-      var->value = rec.payload;
-      var->dv.Clear();
-      var->state_number = lsn;
-      var->last_write_lsn = lsn;
-      return Status::OK();
-    }
-    if (rec.type != LogRecordType::kSharedWrite) {
-      return Status::Corruption("write chain points at " +
-                                std::string(LogRecordTypeName(rec.type)));
-    }
-    if (!DvIsOrphan(rec.dv)) {
-      var->value = rec.payload;
-      var->dv = rec.dv;
-      var->state_number = lsn;
-      var->last_write_lsn = lsn;
-      return Status::OK();
-    }
-    lsn = rec.prev_lsn;
-  }
-  // Chain exhausted: every logged value was an orphan.
-  var->value = var->initial_value;
-  var->dv.Clear();
-  var->state_number = 0;
-  var->last_write_lsn = 0;
-  return Status::OK();
+  if (out) *out = newval;
+  return LogSharedWrite(s, var.get(), std::move(newval));
 }
 
 // ---------------------------------------------------------------------------
 // Outgoing calls
 // ---------------------------------------------------------------------------
 
-Status Msp::CallRoundTrip(const std::string& dest, const Message& req,
-                          bool check_orphan_reply, Message* out,
-                          uint32_t max_sends, const Bytes* dv_wire) {
-  if (max_sends == 0) max_sends = kMaxCallSends;
-  // Encoded once, resent verbatim on loss. `dv_wire`, when set, splices the
-  // caller's pre-encoded DV (zero-copy piggybacking).
-  Bytes wire;
-  req.AppendTo(&wire, dv_wire);
-  auto key = std::make_pair(req.session_id, req.seqno);
-  uint32_t sends = 0;
-  while (sends < max_sends) {
-    auto pc = std::make_shared<PendingCall>();
-    {
-      audit::LockGuard lk(calls_mu_);
-      pending_calls_[key] = pc;
-    }
-    network_->Send(config_.id, dest, wire);
-    ++sends;
-    bool got = false;
-    bool failed = false;
-    bool done = false;
-    Message reply;
-    {
-      // Snapshot under pc->mu: the dispatch thread can deliver a late reply
-      // right after a timed-out wait, racing unlocked reads of done/reply.
-      audit::UniqueLock lk(pc->mu);
-      got = pc->cv.wait_for(
-          lk,
-          std::chrono::milliseconds(RealWaitMs(config_.call_resend_timeout_ms)),
-          [&] {
-            pc->mu.AssertHeld();
-            return pc->done || pc->failed;
-          });
-      failed = pc->failed;
-      done = pc->done;
-      if (done) reply = std::move(pc->reply);
-    }
-    {
-      audit::LockGuard lk(calls_mu_);
-      auto it = pending_calls_.find(key);
-      if (it != pending_calls_.end() && it->second == pc) {
-        pending_calls_.erase(it);
-      }
-    }
-    if (state_.load() == State::kCrashed || failed) {
-      return Status::Crashed("MSP crashed during call");
-    }
-    if (!got || !done) continue;  // timeout: resend
-    Message& m = reply;
-    if (m.reply_code == ReplyCode::kBusy) {
-      env_->SleepModelMs(config_.busy_backoff_ms);
-      continue;
-    }
-    if (m.reply_code == ReplyCode::kOrphanNotice) {
-      // The callee proved our request carried a lost dependency: absorb the
-      // recovered state number and surface orphan-ness to the session.
-      {
-        audit::LockGuard lk(table_mu_);
-        recovered_table_.Record(m.payload, m.rec_epoch, m.rec_sn);
-      }
-      return Status::Orphan("orphan notice from " + dest);
-    }
-    if (check_orphan_reply && m.has_dv && DvIsOrphan(m.dv)) {
-      // Fig. 7: an orphan message is discarded; the sender recovers and
-      // resends. Keep resending our request until a clean reply arrives.
-      env_->stats().orphans_detected.fetch_add(1);
-      env_->SleepModelMs(config_.busy_backoff_ms);
-      continue;
-    }
-    *out = std::move(m);
-    return Status::OK();
-  }
-  return Status::TimedOut("no reply from " + dest + " after " +
-                          std::to_string(sends) + " sends");
-}
-
 Status Msp::OutgoingCallImpl(Session* s, const std::string& target,
                              const std::string& method, ByteView arg,
                              Bytes* reply, const obs::SpanContext& parent_span) {
-  const bool log_based = config_.mode == RecoveryMode::kLogBased;
-  if (log_based && SessionIsOrphan(s)) {
+  const bool logs = log_ != nullptr;
+  if (logs && SessionIsOrphan(s)) {
     return Status::Orphan("session " + s->id);
   }
 
-  auto& o = s->outgoing[target];
-  if (o.session_id.empty()) {
-    o.target = target;
-    // Deterministic id: replay after a crash re-creates the same outgoing
-    // session, so the server-side session and its seqnos keep working.
-    o.session_id = config_.id + "/" + s->id + ">" + target;
-    o.next_seqno = 1;
-  }
+  OutgoingSessionState& o = s->OutgoingTo(config_.id, target);
   uint64_t seqno = o.next_seqno;
 
-  Message req;
-  req.type = MessageType::kRequest;
-  req.sender = config_.id;
-  req.session_id = o.session_id;
-  req.seqno = seqno;
-  req.method = method;
-  req.payload = Bytes(arg);
+  Message req =
+      Message::Request(config_.id, o.session_id, seqno, method, Bytes(arg));
   // Propagate the caller's trace: the callee's request span becomes a child
   // of this request's span, linking span trees across MSPs.
   req.trace_id = parent_span.trace_id;
   req.parent_span_id = parent_span.span_id;
 
-  const bool intra = IntraDomain(target);
-  s->stats.OnNestedCall(target, /*cross_domain=*/!intra);
+  s->stats.OnNestedCall(target, /*cross_domain=*/!IntraDomain(target));
   ++s->calls_in_request;
   const Bytes* dv_wire = nullptr;
-  if (log_based) {
-    if (intra) {
-      // Per-session mode splices the session's cached wire DV rather than
-      // copying the map into the request (the cache stays valid for the
-      // whole round trip: only this worker thread mutates s->dv).
-      req.has_dv = true;
-      if (config_.per_session_dv) {
-        dv_wire = &s->CachedDvWire();
-        env_->stats().dv_entries_attached.fetch_add(s->dv.entry_count());
-      } else {
-        req.dv = MspWideDv(s);
-        env_->stats().dv_entries_attached.fetch_add(req.dv.entry_count());
-      }
-      s->stats.OnPiggybackedSend();
-    } else {
-      // Pessimistic leg: flush our dependencies before the message leaves
-      // the service domain (Fig. 7, "before send, across service domains").
-      DependencyVector flush_dv =
-          config_.per_session_dv ? s->dv : MspWideDv(s);
-      MSPLOG_RETURN_IF_ERROR(DistributedFlush(flush_dv, parent_span, s));
-      audit::CheckWalBeforeSend("call to " + target, config_.id,
-                                epoch_.load(), flush_dv,
-                                log_->durable_lsn());
-    }
-  }
+  MSPLOG_RETURN_IF_ERROR(
+      GuardSend(s, target, "call to ", &req, &dv_wire, parent_span));
 
   Message rep;
   MSPLOG_RETURN_IF_ERROR(CallRoundTrip(target, req,
-                                       /*check_orphan_reply=*/log_based, &rep,
+                                       /*check_orphan_reply=*/logs, &rep,
                                        /*max_sends=*/0, dv_wire));
 
-  if (log_based) {
+  if (logs) {
     // §3.1: log the nondeterministic reply receive (with its DV if the
     // reply came from inside the domain).
     LogRecord rec;
@@ -1086,689 +950,19 @@ Status Msp::OutgoingCallImpl(Session* s, const std::string& target,
 }
 
 // ---------------------------------------------------------------------------
-// Distributed log flush (§3.1)
-// ---------------------------------------------------------------------------
-
-Status Msp::DistributedFlush(const DependencyVector& dv,
-                             const obs::SpanContext& span,
-                             Session* stats_session) {
-  if (config_.mode != RecoveryMode::kLogBased) return Status::OK();
-  // The flush is its own child span under the stalled request span, so the
-  // trace shows the log-flush stall as a distinct stage.
-  obs::SpanContext fspan;
-  if (span.valid()) {
-    fspan.trace_id = span.trace_id;
-    fspan.span_id = obs::NextSpanId();
-    fspan.parent_span_id = span.span_id;
-  }
-  double t0 = env_->NowModelMs();
-  env_->tracer().Record(obs::TraceEventType::kDistFlushStart, t0, config_.id,
-                        /*session=*/"", /*seqno=*/0,
-                        "dv_entries=" + std::to_string(dv.entry_count()),
-                        fspan);
-  Status st = DistributedFlushImpl(dv, fspan);
-  double t1 = env_->NowModelMs();
-  hist_flush_wait_ms_->Record(t1 - t0);
-  if (stats_session) {
-    stats_session->stats.OnForcedFlush();
-    stats_session->stats.OnFlushStall(t1 - t0);
-  }
-  env_->tracer().Record(obs::TraceEventType::kDistFlushEnd, t1, config_.id,
-                        /*session=*/"", /*seqno=*/0,
-                        st.ok() ? "" : st.ToString(), fspan);
-  return st;
-}
-
-Status Msp::DistributedFlushImpl(const DependencyVector& dv,
-                                 const obs::SpanContext& span) {
-  env_->stats().distributed_flushes.fetch_add(1);
-
-  // Submit the peer legs first so they run in parallel with the local one.
-  // The aggregator decides, under one lock pass per leg, whether it is
-  // already covered by the durable watermark (skip), rides an in-flight
-  // request (join), accumulates behind one (queue), or launches a flight.
-  auto call = std::make_shared<FlushCall>();
-  std::vector<std::shared_ptr<FlushWaiter>> waiters;
-  for (const auto& [msp, id] : dv.entries()) {
-    if (msp == config_.id) continue;
-    if (!IntraDomain(msp)) continue;  // cross-domain deps never exist
-    auto w = flush_agg_->Submit(msp, id, call, span);
-    if (w) waiters.push_back(std::move(w));
-  }
-
-  auto abandon_unsettled = [&] {
-    for (auto& w : waiters) {
-      bool settled;
-      {
-        audit::LockGuard lk(call->mu);
-        settled = w->settled;
-      }
-      if (!settled) flush_agg_->Abandon(w);
-    }
-  };
-
-  // Local leg (skipped when the durable watermark already covers it).
-  auto self = dv.Get(config_.id);
-  if (self && self->epoch == epoch_.load() && log_ &&
-      self->sn < log_->end_lsn() && self->sn >= log_->durable_lsn()) {
-    Status st = log_->FlushUpTo(self->sn);
-    if (!st.ok()) {
-      abandon_unsettled();
-      return st;
-    }
-  }
-
-  // One deadline-driven wait across ALL legs (no per-leg serialization): a
-  // slow first peer no longer delays settled later legs' bookkeeping. Wake
-  // when every leg settled or any settled leg failed; after a timeout round
-  // with no settlement, the aggregator resends each stalled flight at most
-  // once per round and eventually times the flight out (max_rounds). The
-  // peer may be mid-crash; once it recovers it either confirms durability
-  // or reports the recovered state number that proves we are an orphan.
-  while (!waiters.empty()) {
-    bool all_settled;
-    bool fatal;
-    {
-      audit::UniqueLock lk(call->mu);
-      call->cv.wait_for(
-          lk, std::chrono::milliseconds(RealWaitMs(config_.flush_timeout_ms)),
-          [&] {
-            call->mu.AssertHeld();
-            return call->unsettled == 0 || call->fatal;
-          });
-      all_settled = call->unsettled == 0;
-      fatal = call->fatal;
-    }
-    if (all_settled || fatal || state_.load() == State::kCrashed) break;
-    for (auto& w : waiters) flush_agg_->OnWaitTimeout(w);
-  }
-
-  // Harvest outcomes. Precedence mirrors the old per-leg loop: crash wins,
-  // then orphan-hood (recording every peer's recovered state number), then
-  // timeout. Legs still unsettled after an early exit are abandoned — their
-  // outcome no longer matters to this call.
-  bool crashed = state_.load() == State::kCrashed;
-  MspId orphan_peer;
-  MspId timeout_peer;
-  for (auto& w : waiters) {
-    bool settled, ok, t_out, w_crashed;
-    uint32_t oe;
-    uint64_t osn;
-    {
-      audit::LockGuard lk(call->mu);
-      settled = w->settled;
-      ok = w->ok;
-      t_out = w->timed_out;
-      w_crashed = w->crashed;
-      oe = w->orphan_epoch;
-      osn = w->orphan_sn;
-    }
-    if (!settled) {
-      flush_agg_->Abandon(w);
-      continue;
-    }
-    if (ok) continue;
-    if (w_crashed) {
-      crashed = true;
-    } else if (oe != 0) {
-      // The peer's recovery provably lost our dependency: orphan.
-      {
-        audit::LockGuard lk(table_mu_);
-        recovered_table_.Record(w->peer, oe, osn);
-      }
-      env_->stats().orphans_detected.fetch_add(1);
-      env_->tracer().Record(obs::TraceEventType::kOrphanDetected,
-                            env_->NowModelMs(), config_.id,
-                            /*session=*/"", /*seqno=*/0,
-                            "flush_leg=" + w->peer);
-      if (orphan_peer.empty()) orphan_peer = w->peer;
-    } else if (t_out && timeout_peer.empty()) {
-      timeout_peer = w->peer;
-    }
-  }
-  if (crashed) return Status::Crashed("MSP crashed during distributed flush");
-  if (!orphan_peer.empty()) return Status::Orphan("flush failed at " + orphan_peer);
-  if (!timeout_peer.empty()) {
-    return Status::TimedOut("distributed flush to " + timeout_peer);
-  }
-  return Status::OK();
-}
-
-void Msp::SendFlushReply(const std::string& to, uint64_t flush_id, bool ok,
-                         uint32_t rec_epoch, uint64_t rec_sn) {
-  Message r;
-  r.type = MessageType::kFlushReply;
-  r.sender = config_.id;
-  r.flush_id = flush_id;
-  r.flush_ok = ok;
-  r.rec_epoch = rec_epoch;
-  r.rec_sn = rec_sn;
-  network_->Send(config_.id, to, r.Encode());
-}
-
-void Msp::HandleFlushRequest(Message m) {
-  uint32_t cur_epoch = epoch_.load();
-  if (m.epoch == cur_epoch && log_) {
-    if (m.flush_sn < log_->durable_lsn()) {
-      // Already durable: no write needed.
-      SendFlushReply(m.sender, m.flush_id, /*ok=*/true, 0, 0);
-    } else if (m.flush_sn < log_->end_lsn()) {
-      if (config_.coalesce_distributed_flushes && inbound_flush_) {
-        // Group commit: concurrent requests drain through one batching
-        // loop — a single FlushUpTo to the batch maximum answers them all.
-        inbound_flush_->Enqueue({m.sender, m.flush_id, m.flush_sn});
-      } else if (log_->FlushUpTo(m.flush_sn).ok()) {
-        SendFlushReply(m.sender, m.flush_id, /*ok=*/true, 0, 0);
-      }
-      // FlushUpTo failure means we are crashing mid-flush. NEVER report a
-      // failure for the current epoch — that would amount to announcing a
-      // recovered state number for an epoch that has not ended, poisoning
-      // the requester's table. Stay silent; the requester retries and our
-      // recovery will give the authoritative answer.
-    }
-    // else: an sn from our current epoch that we do not know (should not
-    // happen); drop rather than guess.
-    return;
-  }
-  if (m.epoch < cur_epoch) {
-    // The epoch already ended: the sn is durable iff it survived recovery.
-    bool ok;
-    uint32_t rec_epoch = 0;
-    uint64_t rec_sn = 0;
-    {
-      audit::LockGuard lk(table_mu_);
-      auto rsn = recovered_table_.RecoveredSn(config_.id, m.epoch);
-      ok = rsn.has_value() && *rsn >= m.flush_sn;
-      if (!ok) {
-        // Authoritative failure: the epoch ended at rec_sn < flush_sn.
-        rec_epoch = m.epoch;
-        rec_sn = rsn.value_or(0);
-      }
-    }
-    SendFlushReply(m.sender, m.flush_id, ok, rec_epoch, rec_sn);
-    return;
-  }
-  // Request from our future (stale routing): drop.
-}
-
-void Msp::HandleFlushReply(Message m) { flush_agg_->HandleReply(m); }
-
-size_t Msp::PendingFlushLegsForTest() const {
-  return flush_agg_->WaiterCountForTest();
-}
-
-size_t Msp::InFlightFlushesForTest() const {
-  return flush_agg_->InFlightForTest();
-}
-
-void Msp::HandleReplyMsg(Message m) {
-  std::shared_ptr<PendingCall> pc;
-  {
-    audit::LockGuard lk(calls_mu_);
-    auto it = pending_calls_.find({m.session_id, m.seqno});
-    if (it == pending_calls_.end()) return;  // duplicate/stale reply
-    pc = it->second;
-  }
-  {
-    audit::LockGuard lk(pc->mu);
-    if (pc->done) return;
-    pc->reply = std::move(m);
-    pc->done = true;
-  }
-  pc->cv.notify_all();
-}
-
-void Msp::HandleRecoveryAnnounce(Message m) {
-  {
-    audit::LockGuard lk(table_mu_);
-    recovered_table_.Record(m.sender, m.rec_epoch, m.rec_sn);
-  }
-  if (config_.mode == RecoveryMode::kLogBased && log_) {
-    // Persist the knowledge (§3.1: "Other processes log and remember this
-    // recovered state number").
-    LogRecord rec;
-    rec.type = LogRecordType::kRecoveredState;
-    rec.peer = m.sender;
-    rec.peer_epoch = m.rec_epoch;
-    rec.peer_recovered_sn = m.rec_sn;
-    log_->Append(rec);
-  }
-  // §4.1: idle sessions are checked now; busy sessions at the next
-  // interception point (their worker picks the flag up between requests).
-  std::vector<std::shared_ptr<Session>> to_arm;
-  {
-    audit::LockGuard lk(sessions_mu_);
-    for (auto& [id, s] : sessions_) {
-      if (s->ended) continue;
-      s->needs_orphan_check = true;
-      if (!s->worker_active && !s->recovering) {
-        s->worker_active = true;
-        to_arm.push_back(s);
-      }
-    }
-  }
-  for (auto& s : to_arm) {
-    pool_->Submit([this, s] { SessionWorker(s); });
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Orphan predicates
-// ---------------------------------------------------------------------------
-
-bool Msp::DvIsOrphan(const DependencyVector& dv) const {
-  audit::LockGuard lk(table_mu_);
-  return recovered_table_.IsOrphanDv(dv);
-}
-
-void Msp::PublishDv(const Session* s) const {
-  if (config_.per_session_dv) return;
-  audit::LockGuard lk(wide_dv_mu_);
-  s->published_dv = s->dv;
-}
-
-DependencyVector Msp::MspWideDv(const Session* self) const {
-  PublishDv(self);
-  DependencyVector all;
-  audit::LockGuard lk(sessions_mu_);
-  audit::LockGuard dlk(wide_dv_mu_);
-  for (const auto& [id, sess] : sessions_) {
-    if (!sess->ended) all.Merge(sess->published_dv);
-  }
-  return all;
-}
-
-bool Msp::SessionIsOrphan(const Session* s) const {
-  if (!config_.per_session_dv) {
-    // §3.2 strawman: one DV for the whole MSP — if ANY session carries an
-    // orphan dependency, every session is considered orphan and rolls back.
-    return DvIsOrphan(MspWideDv(s));
-  }
-  return DvIsOrphan(s->dv);
-}
-
-// ---------------------------------------------------------------------------
-// Baseline request processing (§5 comparison configurations)
-// ---------------------------------------------------------------------------
-
-Status Msp::ProcessRequestBaseline(Session* s, const Message& m,
-                                   const obs::SpanContext& span) {
-  const bool stateful = config_.mode == RecoveryMode::kPsession ||
-                        config_.mode == RecoveryMode::kStateServer;
-  if (m.method == "__end_session") {
-    {
-      audit::LockGuard lk(sessions_mu_);
-      s->ended = true;
-    }
-    return SendReply(s, ReplyCode::kOk, "", m.seqno, span);
-  }
-  bool state_found = false;
-  if (stateful) {
-    MSPLOG_RETURN_IF_ERROR(FetchBaselineState(s, &state_found));
-  }
-  if (m.seqno < s->next_expected_seqno) {
-    if (s->buffered_reply.valid && s->buffered_reply.seqno == m.seqno) {
-      return SendReply(s, s->buffered_reply.code, s->buffered_reply.payload,
-                       m.seqno, span);
-    }
-    return Status::OK();
-  }
-  if (m.seqno > s->next_expected_seqno) {
-    if (config_.mode == RecoveryMode::kNoLog || !state_found) {
-      // The duplicate-detection state was lost (NoLog crash, or the state
-      // server died): accept the client's sequence as the new truth. This
-      // is exactly the exactly-once guarantee these baselines lack.
-      s->next_expected_seqno = m.seqno;
-    } else {
-      return Status::OK();
-    }
-  }
-
-  ExecContext ctx(this, s, ExecContext::Mode::kNormal, m.seqno, nullptr, span);
-  Bytes result;
-  s->calls_in_request = 0;
-  Status st = InvokeMethod(m.method, &ctx, m.payload, &result);
-  s->stats.OnRequest();
-  s->stats.OnRequestFanout(s->calls_in_request);
-  s->calls_in_request = 0;
-  if (st.IsCrashed() || st.IsTimedOut()) return st;
-  ReplyCode code = st.ok() ? ReplyCode::kOk : ReplyCode::kAppError;
-  Bytes payload = st.ok() ? std::move(result) : Bytes(st.ToString());
-
-  s->buffered_reply = {true, m.seqno, code, payload};
-  s->next_expected_seqno = m.seqno + 1;
-  if (stateful) {
-    MSPLOG_RETURN_IF_ERROR(StoreBaselineState(s));
-  }
-  MSPLOG_RETURN_IF_ERROR(SendReply(s, code, payload, m.seqno, span));
-  return Status::OK();
-}
-
-Status Msp::FetchBaselineState(Session* s, bool* found) {
-  *found = false;
-  if (config_.mode == RecoveryMode::kPsession) {
-    Bytes blob;
-    Status st = psession_db_->TxnGet("session/" + s->id, &blob);
-    if (st.IsNotFound()) return Status::OK();
-    MSPLOG_RETURN_IF_ERROR(st);
-    MSPLOG_RETURN_IF_ERROR(s->DecodeCheckpoint(blob));
-    *found = true;
-    return Status::OK();
-  }
-  // StateServer: one round trip to fetch the whole session state.
-  Message req;
-  req.type = MessageType::kRequest;
-  req.sender = config_.id;
-  req.session_id = config_.id + "/" + s->id + "@ss";
-  req.seqno = s->volatile_rpc_seqno++;
-  req.method = "__ss_get";
-  req.payload = s->id;
-  Message rep;
-  MSPLOG_RETURN_IF_ERROR(CallRoundTrip(config_.state_server, req,
-                                       /*check_orphan_reply=*/false, &rep));
-  if (rep.payload.empty()) return Status::Corruption("bad state reply");
-  if (rep.payload[0] == 1) {
-    MSPLOG_RETURN_IF_ERROR(
-        s->DecodeCheckpoint(ByteView(rep.payload).substr(1)));
-    *found = true;
-  }
-  return Status::OK();
-}
-
-Status Msp::StoreBaselineState(Session* s) {
-  Bytes blob = s->EncodeCheckpoint();
-  if (config_.mode == RecoveryMode::kPsession) {
-    return psession_db_->TxnPut("session/" + s->id, blob);
-  }
-  Message req;
-  req.type = MessageType::kRequest;
-  req.sender = config_.id;
-  req.session_id = config_.id + "/" + s->id + "@ss";
-  req.seqno = s->volatile_rpc_seqno++;
-  req.method = "__ss_put";
-  BinaryWriter w;
-  w.PutBytes(s->id);
-  w.PutBytes(blob);
-  req.payload = w.Take();
-  Message rep;
-  return CallRoundTrip(config_.state_server, req,
-                       /*check_orphan_reply=*/false, &rep);
-}
-
-// ---------------------------------------------------------------------------
 // Introspection
 // ---------------------------------------------------------------------------
 
-void Msp::QuiesceSession(Session* s) const {
-  // Session fields are owned by the worker (or recovery) thread currently
-  // draining the session, and that thread can still be running its epilogue
-  // after the client already has its reply. Both worker_active and
-  // recovering are cleared under sessions_mu_, so observing them false here
-  // orders every owner-thread write before the caller's access.
-  while (true) {
-    {
-      audit::LockGuard lk(sessions_mu_);
-      if (!s->worker_active && !s->recovering && s->pending_requests.empty())
-        return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-StatusOr<Bytes> Msp::PeekSessionVar(const std::string& session_id,
-                                    const std::string& var) const {
-  auto s = GetSession(session_id);
-  if (!s) return Status::NotFound("no session " + session_id);
-  QuiesceSession(s.get());
-  auto it = s->vars.find(var);
-  if (it == s->vars.end()) return Status::NotFound("no var " + var);
-  return it->second;
-}
-
 StatusOr<Bytes> Msp::PeekSharedValue(const std::string& name) const {
-  std::shared_ptr<SharedVariable> v;
-  {
-    audit::LockGuard lk(vars_mu_);
-    auto it = shared_vars_.find(name);
-    if (it == shared_vars_.end()) return Status::NotFound("no shared " + name);
-    v = it->second;
-  }
+  auto v = FindSharedVar(name);
+  if (!v) return Status::NotFound("no shared " + name);
   audit::SharedLock vlk(v->rw);
   return v->value;
-}
-
-StatusOr<uint64_t> Msp::PeekNextExpectedSeqno(
-    const std::string& session_id) const {
-  auto s = GetSession(session_id);
-  if (!s) return Status::NotFound("no session " + session_id);
-  QuiesceSession(s.get());
-  return s->next_expected_seqno;
-}
-
-std::vector<uint64_t> Msp::PeekPositionStream(
-    const std::string& session_id) const {
-  auto s = GetSession(session_id);
-  if (!s) return {};
-  QuiesceSession(s.get());
-  return s->positions.All();
-}
-
-bool Msp::HasSession(const std::string& session_id) const {
-  return GetSession(session_id) != nullptr;
-}
-
-void Msp::InjectDvRegressionForTest(const std::string& session_id) {
-  auto s = GetSession(session_id);
-  if (!s) return;
-  QuiesceSession(s.get());
-  std::optional<StateId> self = s->dv.Get(config_.id);
-  if (!self || self->sn == 0) return;
-  // Silently drop the self entry back one LSN, simulating a bug that loses a
-  // logged dependency. The dv-monotonic check fires on the next request.
-  s->dv.Set(config_.id, StateId{self->epoch, self->sn - 1});
-}
-
-size_t Msp::SessionCount() const {
-  audit::LockGuard lk(sessions_mu_);
-  return sessions_.size();
 }
 
 RecoveredStateTable Msp::SnapshotRecoveredTable() const {
   audit::LockGuard lk(table_mu_);
   return recovered_table_;
-}
-
-std::vector<obs::SessionStatsSnapshot> Msp::SessionTelemetry() const {
-  std::vector<std::pair<std::string, std::shared_ptr<Session>>> snap;
-  {
-    audit::LockGuard lk(sessions_mu_);
-    snap.reserve(sessions_.size());
-    for (const auto& [id, s] : sessions_) snap.emplace_back(id, s);
-  }
-  // Snapping outside the table lock: SessionStats is relaxed-atomic, so no
-  // session ownership is required (std::map iteration is id-sorted already).
-  std::vector<obs::SessionStatsSnapshot> out;
-  out.reserve(snap.size());
-  for (const auto& [id, s] : snap) out.push_back(s->stats.Snap(id));
-  return out;
-}
-
-void Msp::RegisterTelemetryProbes(obs::MetricsScraper* scraper) const {
-  const std::string p = config_.id + ".";
-  scraper->AddProbe(p + "sessions", [this] {
-    return static_cast<double>(SessionCount());
-  });
-  // Both queue-depth probes read relaxed atomics: the scraper fires every
-  // 100ms and must never contend with the request hot path for a mutex.
-  scraper->AddProbe(p + "queued_requests", [this] {
-    return static_cast<double>(
-        queued_requests_.load(std::memory_order_relaxed));
-  });
-  scraper->AddProbe(p + "pool.queue_depth", [this] {
-    audit::LockGuard lk(probe_mu_);
-    return probe_pool_ ? static_cast<double>(probe_pool_->queued()) : 0.0;
-  });
-  // Aggregates over live sessions' relaxed-atomic telemetry; the sessions
-  // table lock only pins the session set, never session bodies.
-  auto sum = [this](uint64_t (*field)(const Session&)) {
-    audit::LockGuard lk(sessions_mu_);
-    uint64_t total = 0;
-    for (const auto& [id, s] : sessions_) total += field(*s);
-    return static_cast<double>(total);
-  };
-  scraper->AddProbe(p + "telemetry.requests", [sum] {
-    return sum([](const Session& s) { return s.stats.requests(); });
-  });
-  scraper->AddProbe(p + "telemetry.flush_stalls", [sum] {
-    return sum([](const Session& s) { return s.stats.flush_stalls(); });
-  });
-  scraper->AddProbe(p + "crash_generation", [this] {
-    return static_cast<double>(crash_generation_.load());
-  });
-  scraper->AddProbe(p + "uptime_ms", [this] {
-    double up = last_start_end_ms_.load(std::memory_order_relaxed);
-    if (up <= 0 || state_.load() != State::kRunning) return 0.0;
-    return env_->NowModelMs() - up;
-  });
-}
-
-obs::FlightSnapshot Msp::BuildFlightSnapshot() const {
-  obs::FlightSnapshot snap;
-  snap.statusz_json = DumpStatusz();
-  {
-    audit::LockGuard lk(sessions_mu_);
-    for (const auto& [id, s] : sessions_) {
-      if (!s->ended) snap.inflight_sessions.push_back(id);
-    }
-  }
-  if (log_) {
-    const LogExtents x = log_->Extents();  // one consistent snapshot
-    snap.log_end_lsn = x.end_lsn;
-    snap.log_durable_lsn = x.durable_lsn;
-    snap.log_reclaimed_lsn = x.reclaimed_lsn;
-    snap.log_archived_lsn = x.archived_lsn;
-  }
-  return snap;
-}
-
-std::string Msp::DumpStatusz() const {
-  const char* state_name = "?";
-  switch (state_.load()) {
-    case State::kStopped: state_name = "stopped"; break;
-    case State::kRecovering: state_name = "recovering"; break;
-    case State::kRunning: state_name = "running"; break;
-    case State::kCrashed: state_name = "crashed"; break;
-  }
-  std::string out = "{";
-  out += "\"id\":\"" + obs::JsonEscape(config_.id) + "\",";
-  out += "\"state\":\"" + std::string(state_name) + "\",";
-  out += "\"epoch\":" + std::to_string(epoch_.load()) + ",";
-  out += "\"model_ms\":" + std::to_string(env_->NowModelMs()) + ",";
-
-  // Session occupancy. Only queue/ownership flags are touched — those are
-  // the fields sessions_mu_ actually guards, so this is safe while workers
-  // are mutating session bodies.
-  {
-    uint64_t queued = 0, active = 0, recovering = 0, ended = 0;
-    audit::LockGuard lk(sessions_mu_);
-    for (const auto& [id, s] : sessions_) {
-      queued += s->pending_requests.size();
-      if (s->worker_active) ++active;
-      if (s->recovering) ++recovering;
-      if (s->ended) ++ended;
-    }
-    out += "\"sessions\":{\"count\":" + std::to_string(sessions_.size()) +
-           ",\"queued_requests\":" + std::to_string(queued) +
-           ",\"active_workers\":" + std::to_string(active) +
-           ",\"recovering\":" + std::to_string(recovering) +
-           ",\"ended\":" + std::to_string(ended) + "},";
-  }
-
-  // Log extents (absent outside kLogBased or before Start). One Extents()
-  // snapshot — the former end/durable/reclaimed triple-read could tear.
-  if (log_) {
-    const LogExtents x = log_->Extents();
-    out += "\"log\":{\"end_lsn\":" + std::to_string(x.end_lsn) +
-           ",\"durable_lsn\":" + std::to_string(x.durable_lsn) +
-           ",\"reclaimed_lsn\":" + std::to_string(x.reclaimed_lsn) +
-           ",\"archived_lsn\":" + std::to_string(x.archived_lsn) +
-           "},";
-  }
-
-  {
-    audit::LockGuard lk(table_mu_);
-    out += "\"recovered_table_entries\":" +
-           std::to_string(recovered_table_.entries().size()) + ",";
-  }
-  {
-    audit::LockGuard lk(timeline_mu_);
-    size_t n = recovery_history_.size() +
-               (last_recovery_timeline_.epoch != 0 ? 1 : 0);
-    out += "\"recoveries\":" + std::to_string(n) + ",";
-    // The last recovery's read path: what its scan read, what it kept as
-    // the log image, and what replay read from the image or the disk.
-    const obs::RecoveryTimeline& tl = last_recovery_timeline_;
-    out += "\"last_recovery_reads\":{\"analysis_disk_reads\":" +
-           std::to_string(tl.analysis_disk_reads) +
-           ",\"image_bytes\":" + std::to_string(tl.image_bytes) +
-           ",\"replay_disk_reads\":" + std::to_string(tl.replay_disk_reads) +
-           ",\"replay_disk_bytes\":" + std::to_string(tl.replay_disk_bytes) +
-           ",\"replay_image_frames\":" +
-           std::to_string(tl.replay_image_frames) + "},";
-    out += "\"last_outage_report\":" + last_outage_report_.ToJson() + ",";
-  }
-  out += "\"crash_generation\":" + std::to_string(crash_generation_.load()) +
-         ",";
-  {
-    // "Uptime since last recovery": model ms since the last Start()
-    // finished; 0 while down or before the first start.
-    double up = last_start_end_ms_.load(std::memory_order_relaxed);
-    double uptime = (up > 0 && state_.load() == State::kRunning)
-                        ? env_->NowModelMs() - up
-                        : 0.0;
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.3f", uptime);
-    out += "\"uptime_since_recovery_ms\":" + std::string(buf) + ",";
-  }
-  out += "\"requests\":" + std::to_string(ctr_requests_->Value()) + ",";
-
-  // Distributed-flush group commit (shared registry: sums over every MSP in
-  // this environment; in-flight/pending legs are this MSP's own).
-  {
-    obs::MetricsRegistry& m = env_->metrics();
-    out += "\"flush\":{";
-    out += "\"legs_requested\":" +
-           std::to_string(m.GetCounter("flush.legs_requested")->Value()) + ",";
-    out += "\"legs_coalesced\":" +
-           std::to_string(m.GetCounter("flush.legs_coalesced")->Value()) + ",";
-    out += "\"messages_saved\":" +
-           std::to_string(m.GetCounter("flush.messages_saved")->Value()) + ",";
-    out += "\"watermark_skips\":" +
-           std::to_string(m.GetCounter("flush.watermark_skips")->Value()) + ",";
-    out += "\"requests_sent\":" +
-           std::to_string(m.GetCounter("flush.requests_sent")->Value()) + ",";
-    out += "\"peer_flushes_saved\":" +
-           std::to_string(m.GetCounter("flush.peer_flushes_saved")->Value()) +
-           ",";
-    out += "\"in_flight\":" + std::to_string(flush_agg_->InFlightForTest()) +
-           ",";
-    out += "\"pending_legs\":" +
-           std::to_string(flush_agg_->WaiterCountForTest()) + ",";
-    out += "\"flight_batch\":" +
-           obs::SnapshotJson(m.GetHistogram("flush.flight_batch")->Snap());
-    out += "},";
-  }
-  // Per-session telemetry (obs/session_stats.h), id-sorted.
-  out += "\"telemetry\":" + obs::SessionTelemetryJson(SessionTelemetry()) + ",";
-
-  out += "\"histograms\":{";
-  out += "\"queue_wait_ms\":" + obs::SnapshotJson(hist_queue_wait_ms_->Snap());
-  out += ",\"execute_ms\":" + obs::SnapshotJson(hist_execute_ms_->Snap());
-  out += ",\"flush_wait_ms\":" + obs::SnapshotJson(hist_flush_wait_ms_->Snap());
-  out += ",\"request_ms\":" + obs::SnapshotJson(hist_request_ms_->Snap());
-  out += ",\"replay_ms\":" + obs::SnapshotJson(hist_replay_ms_->Snap());
-  out += "}}";
-  return out;
 }
 
 }  // namespace msplog

@@ -1,8 +1,8 @@
 // Msp — a recoverable Middleware Server Process, the system of the paper.
 //
 // An Msp serves client-initiated requests with a thread pool, maintains
-// private per-session state and shared in-memory state, and — in
-// RecoveryMode::kLogBased — makes all of it recoverable through:
+// private per-session state and shared in-memory state, and makes all of it
+// recoverable through its log:
 //
 //   * locally optimistic logging (§3.1): DV-tagged optimistic messages
 //     inside the service domain, pessimistic distributed log flushes across
@@ -21,8 +21,16 @@
 // unregisters the network endpoint. Start() afterwards re-runs crash
 // recovery from the durable log, exactly as a restarted OS process would.
 //
-// The other RecoveryModes implement the paper's §5 baselines (NoLog,
-// Psession, StateServer) over the same runtime.
+// The §5 baselines (MspConfig::mode NoLog, Psession, StateServer) run the
+// same runtime without a log: Start(), the one place that reads the mode,
+// builds either the log side (LogFile, recovery coordinator, checkpoint
+// daemon) or a SessionStore (baseline/session_store.h). Everywhere else
+// "does this MSP log?" is `log_ != nullptr`.
+//
+// Source files: msp.cc (lifecycle, request path, shared variables,
+// outgoing calls), msp_rpc.cc (call round trips, distributed flush),
+// msp_checkpoint.cc (§3.2–§3.4), msp_recovery.cc (§4 replay and undo),
+// msp_status.cc (statusz, telemetry, flight snapshot).
 #pragma once
 
 #include <atomic>
@@ -36,9 +44,9 @@
 #include <vector>
 
 #include "audit/mutex.h"
+#include "baseline/session_store.h"
 #include "common/bytes.h"
 #include "common/status.h"
-#include "db/kvdb.h"
 #include "log/log_anchor.h"
 #include "log/log_file.h"
 #include "msp/flush_aggregator.h"
@@ -95,9 +103,9 @@ class Msp {
   void RegisterSharedVariable(const std::string& name, Bytes initial);
 
   // ---- lifecycle ----
-  /// Boot the server. If a durable log exists (kLogBased), runs crash
-  /// recovery (§4.3) before accepting traffic; sessions then recover in
-  /// parallel while new sessions are served.
+  /// Boot the server. A log-based MSP runs crash recovery (§4.3) before
+  /// accepting traffic; sessions then recover in parallel while new sessions
+  /// are served.
   Status Start();
 
   /// Graceful stop: flushes the log, joins all threads, unregisters.
@@ -110,34 +118,17 @@ class Msp {
   uint32_t epoch() const { return epoch_.load(); }
   const MspConfig& config() const { return config_; }
   SimEnvironment* env() const { return env_; }
+  /// The log while running; null for a baseline MSP or before Start.
   LogFile* log() const { return log_.get(); }
 
   // ---- explicit checkpoint triggers (also driven by the daemon) ----
   /// Force a checkpoint of `target` now: the whole MSP (fuzzy, §3.4), one
-  /// session, or one shared variable.
+  /// session, or one shared variable. Unsupported without a log.
   Status ForceCheckpoint(const CheckpointTarget& target);
 
-  // ---- crash-injection & instrumentation hooks ----
-  /// Test hook for the protocol auditor: silently lower `session_id`'s own
-  /// DV entry, simulating a dependency-dropping bug. The dv-monotonic
-  /// invariant check must trip on the session's next request.
-  void InjectDvRegressionForTest(const std::string& session_id);
-
-  // ---- introspection for tests and benchmarks ----
-  StatusOr<Bytes> PeekSessionVar(const std::string& session_id,
-                                 const std::string& var) const;
+  // ---- introspection ----
   StatusOr<Bytes> PeekSharedValue(const std::string& name) const;
-  StatusOr<uint64_t> PeekNextExpectedSeqno(const std::string& session_id) const;
-  std::vector<uint64_t> PeekPositionStream(const std::string& session_id) const;
-  bool HasSession(const std::string& session_id) const;
-  size_t SessionCount() const;
   RecoveredStateTable SnapshotRecoveredTable() const;
-
-  /// Unsettled distributed-flush legs (joined to flights + queued) held by
-  /// the flush aggregator; 0 after a crash proves no leaked flush state.
-  size_t PendingFlushLegsForTest() const;
-  /// In-flight coalesced flush requests (one per open flight).
-  size_t InFlightFlushesForTest() const;
 
   /// Structured timeline of the most recent crash recovery: analysis-scan
   /// duration and volume, per-session replay phases, parallelism achieved,
@@ -183,12 +174,13 @@ class Msp {
  private:
   friend class ExecContext;
   friend class RecoveryCoordinator;
+  friend class MspTestPeer;  // tests/msp_test_peer.h
 
   enum class State { kStopped, kRecovering, kRunning, kCrashed };
 
-  /// Block until no worker or recovery thread owns `s` (test-hook helper;
-  /// establishes happens-before with the owner thread's last writes).
-  void QuiesceSession(Session* s) const;
+  /// Sends of one outgoing call (and rounds of one distributed-flush leg)
+  /// before it gives up.
+  static constexpr uint32_t kMaxCallSends = 200;
 
   /// Crash/stop body; caller holds lifecycle_mu_. `is_crash` distinguishes
   /// a simulated fault (bumps the crash generation and freezes a flight
@@ -199,6 +191,9 @@ class Msp {
   /// statusz + in-flight session set + log tail extent, captured at freeze
   /// time (i.e. from inside CrashLocked or an invariant violation hook).
   obs::FlightSnapshot BuildFlightSnapshot() const;
+  /// "Uptime since last recovery": model ms since the last Start()
+  /// finished; 0 while down or before the first start.
+  double UptimeMs() const;
 
   // ---- threads ----
   void DispatchLoop();
@@ -211,24 +206,51 @@ class Msp {
   void HandleFlushRequest(Message m);
   void HandleFlushReply(Message m);
   void HandleRecoveryAnnounce(Message m);
-  void SendBusyReply(const Message& req);
   void SendFlushReply(const std::string& to, uint64_t flush_id, bool ok,
                       uint32_t rec_epoch, uint64_t rec_sn);
 
   // ---- request processing ----
-  void ProcessRequest(const std::shared_ptr<Session>& s, const Message& m,
-                      const obs::SpanContext& span);
   Status ProcessRequestLogBased(Session* s, const Message& m,
                                 const obs::SpanContext& span);
+  /// The §5 baselines: load the session from store_ (if any), execute,
+  /// save, reply. No log, no DVs.
   Status ProcessRequestBaseline(Session* s, const Message& m,
                                 const obs::SpanContext& span);
+  /// Run request `m`'s service method in normal mode.
+  Status ExecuteRequest(Session* s, const Message& m,
+                        const obs::SpanContext& span, Bytes* result);
   Status InvokeMethod(const std::string& method, ExecContext* ctx,
                       const Bytes& arg, Bytes* result);
   Status SendReply(Session* s, ReplyCode code, const Bytes& payload,
                    uint64_t seqno, const obs::SpanContext& span = {});
+  /// Before `msg` leaves for `dest` (Fig. 7): inside the service domain,
+  /// piggyback the session's DV (`*dv_wire` is set to its cached encoding
+  /// in per-session mode); across a domain boundary, run the pessimistic
+  /// distributed flush and check WAL-before-send. `what` names the message
+  /// for the auditor. No-op without a log.
+  Status GuardSend(Session* s, const std::string& dest, const char* what,
+                   Message* msg, const Bytes** dv_wire,
+                   const obs::SpanContext& span);
+
+  /// Mark `s` as owned by a worker unless one (or a replay) already owns
+  /// it; true when the caller must SubmitWorker(s).
+  bool ArmWorkerLocked(Session* s) REQUIRES(sessions_mu_);
+  void SubmitWorker(std::shared_ptr<Session> s);
 
   // ---- normal-execution primitives (called via ExecContext) ----
   uint64_t AppendSessionRecord(Session* s, LogRecord rec);
+  /// Replay twin of AppendSessionRecord: consume the logged `rec` — the
+  /// session's state number and DV advance exactly as they did when it was
+  /// appended.
+  void ReplaySessionRecord(Session* s, const LogRecord& rec);
+  /// Value-log a read of `var` (§3.3) and return its value in `out` (when
+  /// set); the reader's DV absorbs the variable's. Caller holds the
+  /// variable's lock.
+  void LogSharedRead(Session* s, const SharedVariable& var, Bytes* out);
+  /// Value-log a write of `value` to `var` on the variable's backward chain,
+  /// apply it, and checkpoint the variable when its write threshold is
+  /// reached. Caller holds the variable's unique lock.
+  Status LogSharedWrite(Session* s, SharedVariable* var, Bytes value);
   Status SharedReadImpl(Session* s, const std::string& name, Bytes* out);
   Status SharedWriteImpl(Session* s, const std::string& name, ByteView value);
   Status SharedUpdateImpl(Session* s, const std::string& name,
@@ -238,6 +260,8 @@ class Msp {
                           const std::string& method, ByteView arg,
                           Bytes* reply, const obs::SpanContext& parent_span = {});
   std::shared_ptr<SharedVariable> GetOrCreateSharedVar(const std::string& name);
+  /// The registered variable `name`, or null.
+  std::shared_ptr<SharedVariable> FindSharedVar(const std::string& name) const;
 
   /// Send `req` to `dest` and await the matching reply, resending on loss
   /// and backing off on Busy. If `check_orphan_reply` is set, replies whose
@@ -278,8 +302,9 @@ class Msp {
     PublishDv(s);
   }
   bool DvIsOrphan(const DependencyVector& dv) const;
-  /// Roll `var` back along its backward write chain to the most recent
-  /// non-orphan value (§4.2). Caller holds the variable's unique lock.
+  /// Roll the orphan `var` back along its backward write chain to the most
+  /// recent non-orphan value (§4.2), counting the orphan. Caller holds the
+  /// variable's unique lock.
   Status UndoSharedVariable(SharedVariable* var);
   /// Write the EOS record and truncate the position stream (§4.1).
   void OrphanCut(Session* s, uint64_t orphan_lsn);
@@ -287,19 +312,17 @@ class Msp {
   // ---- checkpoints (§3.2–§3.4) ----
   Status TakeSessionCheckpoint(Session* s, const obs::SpanContext& span = {});
   Status TakeSharedVarCheckpoint(SharedVariable* var);
+  /// TakeSharedVarCheckpoint, rolling the variable back instead when its
+  /// value turns out to be an orphan during the flush (§4.2).
+  Status CheckpointOrUndo(SharedVariable* var);
   /// `force_units` also force-checkpoints stale/uncheckpointed sessions and
   /// shared variables (§3.4); recovery passes false because peer flushes are
   /// not yet serviceable at that point.
   Status TakeMspCheckpoint(bool force_units);
-  /// ForceCheckpoint bodies for the session / shared-variable kinds.
+  /// ForceCheckpoint body for one session, claimed like a worker would.
   Status ForceSessionCheckpointImpl(const std::string& session_id);
-  Status ForceSharedVarCheckpointImpl(const std::string& name);
 
   // ---- recovery (§4) ----
-  /// Thin wrapper over RecoveryCoordinator: analysis pass + open
-  /// preparation. Session replay is NOT awaited — Start() kicks off the
-  /// background drain and HandleRequestMsg admits sessions on demand.
-  Status CrashRecovery();
   /// Replay loop handling repeated orphan-ness under multiple crashes.
   /// `from_crash` marks replays launched by crash recovery (vs lazy orphan
   /// recovery) in the recovery timeline.
@@ -319,10 +342,6 @@ class Msp {
   /// request (vs the background drain) in the recovery timeline.
   void SessionRecoveryTask(std::shared_ptr<Session> s, bool on_demand = false);
 
-  // ---- baseline substrate ----
-  Status FetchBaselineState(Session* s, bool* found);
-  Status StoreBaselineState(Session* s);
-
   // ---- helpers ----
   /// Charge model CPU time; serialized on the MSP's core when
   /// config.single_core_cpu is set.
@@ -330,6 +349,9 @@ class Msp {
   bool IntraDomain(const std::string& other) const;
   int64_t RealWaitMs(double model_ms) const;
   std::shared_ptr<Session> GetSession(const std::string& id) const;
+  /// A fresh session with its position-stream file "pos/<msp>/<id>".
+  std::shared_ptr<Session> NewSession(const std::string& id,
+                                      const std::string& client) const;
 
   SimEnvironment* env_;
   SimNetwork* network_;
@@ -413,7 +435,7 @@ class Msp {
   /// checkpoint daemon's staleness test without any lock.
   std::atomic<uint64_t> last_msp_cp_log_end_{0};
 
-  /// Timeline of the most recent CrashRecovery(); session-replay entries
+  /// Timeline of the most recent crash recovery; session-replay entries
   /// (including lazy orphan recoveries) are appended as they finish.
   mutable audit::Mutex timeline_mu_{"msp.timeline"};
   obs::RecoveryTimeline last_recovery_timeline_ GUARDED_BY(timeline_mu_);
@@ -425,7 +447,7 @@ class Msp {
   std::atomic<uint32_t> active_replays_{0};
 
   /// The phased driver of the most recent crash recovery; rebuilt by each
-  /// CrashRecovery() under lifecycle_mu_, and quiesced before replacement
+  /// log-based Start() under lifecycle_mu_, and quiesced before replacement
   /// (pool tasks referencing it are joined by Crash/Shutdown).
   std::unique_ptr<RecoveryCoordinator>
       recovery_coordinator_;  // audit:allow(guarded-by)
@@ -461,8 +483,9 @@ class Msp {
   obs::Counter* ctr_requests_;          ///< "msp.requests"
   obs::Gauge* gauge_crash_generation_;  ///< "<id>.crash_generation"
 
-  /// Created in Start() before workers exist; KvDb is internally locked.
-  std::unique_ptr<KvDb> psession_db_;  // audit:allow(guarded-by)
+  /// A baseline's session store (Psession, StateServer); null for NoLog and
+  /// for the log-based MSP. Built in Start() before workers exist.
+  std::unique_ptr<SessionStore> store_;  // audit:allow(guarded-by)
 };
 
 }  // namespace msplog

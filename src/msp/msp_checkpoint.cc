@@ -13,45 +13,34 @@
 namespace msplog {
 
 Status Msp::TakeSessionCheckpoint(Session* s, const obs::SpanContext& span) {
-  if (config_.mode != RecoveryMode::kLogBased) return Status::Unsupported("");
   // When a traced request triggers the checkpoint, the pause shows up in
   // its span tree as a child span.
-  obs::SpanContext cspan;
-  if (span.valid()) {
-    cspan.trace_id = span.trace_id;
-    cspan.span_id = obs::NextSpanId();
-    cspan.parent_span_id = span.span_id;
-  }
+  const obs::SpanContext cspan = span.Child();
   env_->tracer().Record(obs::TraceEventType::kCheckpointBegin,
                         env_->NowModelMs(), config_.id, s->id, /*seqno=*/0,
                         "session", cspan);
   // §3.2: prior to a session checkpoint, a distributed log flush as dictated
   // by the session's DV ensures the checkpointed state is never an orphan.
-  Status fst = DistributedFlush(s->dv, cspan, s);
-  if (!fst.ok()) {
-    env_->tracer().Record(obs::TraceEventType::kCheckpointEnd,
-                          env_->NowModelMs(), config_.id, s->id, /*seqno=*/0,
-                          "session " + fst.ToString(), cspan);
-    return fst;
+  Status st = DistributedFlush(s->dv, cspan, s);
+  if (st.ok()) {
+    LogRecord rec;
+    rec.type = LogRecordType::kSessionCheckpoint;
+    rec.session_id = s->id;
+    rec.payload = s->EncodeCheckpoint();
+    s->last_checkpoint_lsn.store(log_->Append(rec));
+    // §3.2: on completion, the session's previous log records can be
+    // discarded — the position stream truncates to zero length.
+    s->positions.Truncate();
+    s->bytes_logged_since_cp = 0;
+    s->msp_cps_since_cp = 0;
+    s->stats.OnCheckpoint();
+    env_->stats().checkpoints_session.fetch_add(1);
   }
-
-  LogRecord rec;
-  rec.type = LogRecordType::kSessionCheckpoint;
-  rec.session_id = s->id;
-  rec.payload = s->EncodeCheckpoint();
-  uint64_t lsn = log_->Append(rec);
-  s->last_checkpoint_lsn.store(lsn);
-  // §3.2: on completion, the session's previous log records can be
-  // discarded — the position stream truncates to zero length.
-  s->positions.Truncate();
-  s->bytes_logged_since_cp = 0;
-  s->msp_cps_since_cp = 0;
-  s->stats.OnCheckpoint();
-  env_->stats().checkpoints_session.fetch_add(1);
   env_->tracer().Record(obs::TraceEventType::kCheckpointEnd,
                         env_->NowModelMs(), config_.id, s->id, /*seqno=*/0,
-                        "session", cspan);
-  return Status::OK();
+                        st.ok() ? "session" : "session " + st.ToString(),
+                        cspan);
+  return st;
 }
 
 Status Msp::TakeSharedVarCheckpoint(SharedVariable* var) {
@@ -76,10 +65,13 @@ Status Msp::TakeSharedVarCheckpoint(SharedVariable* var) {
   return Status::OK();
 }
 
+Status Msp::CheckpointOrUndo(SharedVariable* var) {
+  Status st = TakeSharedVarCheckpoint(var);
+  if (st.IsOrphan()) return UndoSharedVariable(var);
+  return st;
+}
+
 Status Msp::TakeMspCheckpoint(bool force_units) {
-  if (config_.mode != RecoveryMode::kLogBased || !log_) {
-    return Status::Unsupported("");
-  }
   audit::LockGuard cp_guard(msp_cp_mu_);
   env_->tracer().Record(obs::TraceEventType::kCheckpointBegin,
                         env_->NowModelMs(), config_.id, /*session=*/"",
@@ -102,7 +94,6 @@ Status Msp::TakeMspCheckpoint(bool force_units) {
       if (never || (stale && v->writes_since_cp > 0)) {
         Status st = TakeSharedVarCheckpoint(v.get());
         if (st.IsOrphan()) {
-          env_->stats().orphans_detected.fetch_add(1);
           MSPLOG_RETURN_IF_ERROR(UndoSharedVariable(v.get()));
         } else if (st.IsCrashed()) {
           return st;
@@ -130,10 +121,7 @@ Status Msp::TakeMspCheckpoint(bool force_units) {
           s->msp_cps_since_cp >= config_.force_checkpoint_after_msp_cps &&
           s->bytes_logged_since_cp > 0) {
         s->needs_checkpoint = true;
-        if (!s->worker_active && !s->recovering) {
-          s->worker_active = true;
-          stale_sessions.push_back(s);
-        }
+        if (ArmWorkerLocked(s.get())) stale_sessions.push_back(s);
       }
     }
   }
@@ -173,9 +161,7 @@ Status Msp::TakeMspCheckpoint(bool force_units) {
     }
   }
 
-  for (auto& s : stale_sessions) {
-    pool_->Submit([this, s] { SessionWorker(s); });
-  }
+  for (auto& s : stale_sessions) SubmitWorker(std::move(s));
   env_->tracer().Record(obs::TraceEventType::kCheckpointEnd,
                         env_->NowModelMs(), config_.id, /*session=*/"",
                         /*seqno=*/0, "msp");
@@ -183,13 +169,21 @@ Status Msp::TakeMspCheckpoint(bool force_units) {
 }
 
 Status Msp::ForceCheckpoint(const CheckpointTarget& target) {
+  // Every checkpoint kind writes the log: a baseline MSP (or one that is not
+  // running) has none. The daemon and the request path reach the Take*
+  // bodies only on a log-based MSP.
+  if (!log_) return Status::Unsupported("checkpoints need the log");
   switch (target.kind) {
     case CheckpointTarget::Kind::kMsp:
       return TakeMspCheckpoint(/*force_units=*/true);
     case CheckpointTarget::Kind::kSession:
       return ForceSessionCheckpointImpl(target.name);
-    case CheckpointTarget::Kind::kSharedVar:
-      return ForceSharedVarCheckpointImpl(target.name);
+    case CheckpointTarget::Kind::kSharedVar: {
+      auto v = FindSharedVar(target.name);
+      if (!v) return Status::NotFound("no shared " + target.name);
+      audit::SharedUniqueLock vlk(v->rw);
+      return CheckpointOrUndo(v.get());
+    }
   }
   return Status::InvalidArgument("unknown checkpoint target kind");
 }
@@ -202,10 +196,7 @@ Status Msp::ForceSessionCheckpointImpl(const std::string& session_id) {
   while (true) {
     {
       audit::LockGuard lk(sessions_mu_);
-      if (!s->worker_active && !s->recovering) {
-        s->worker_active = true;
-        break;
-      }
+      if (ArmWorkerLocked(s.get())) break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     if (state_.load() != State::kRunning) return Status::Crashed("");
@@ -221,24 +212,7 @@ Status Msp::ForceSessionCheckpointImpl(const std::string& session_id) {
       s->worker_active = false;
     }
   }
-  if (rearm) pool_->Submit([this, s] { SessionWorker(s); });
-  return st;
-}
-
-Status Msp::ForceSharedVarCheckpointImpl(const std::string& name) {
-  std::shared_ptr<SharedVariable> v;
-  {
-    audit::LockGuard lk(vars_mu_);
-    auto it = shared_vars_.find(name);
-    if (it == shared_vars_.end()) return Status::NotFound("no shared " + name);
-    v = it->second;
-  }
-  audit::SharedUniqueLock vlk(v->rw);
-  Status st = TakeSharedVarCheckpoint(v.get());
-  if (st.IsOrphan()) {
-    env_->stats().orphans_detected.fetch_add(1);
-    return UndoSharedVariable(v.get());
-  }
+  if (rearm) SubmitWorker(std::move(s));
   return st;
 }
 
@@ -254,7 +228,7 @@ void Msp::CheckpointDaemonLoop() {
                     });
     if (cp_stop_) break;
     lk.unlock();
-    if (config_.msp_checkpoint_log_bytes > 0 && log_ &&
+    if (config_.msp_checkpoint_log_bytes > 0 &&
         log_->end_lsn() - last_msp_cp_log_end_.load() >=
             config_.msp_checkpoint_log_bytes &&
         state_.load() == State::kRunning) {

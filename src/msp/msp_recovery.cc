@@ -1,8 +1,9 @@
-// Recovery processing (§4): the CrashRecovery wrapper over the phased
-// RecoveryCoordinator (analysis scan + open + background drain live in
-// recovery_coordinator.cc), per-session replay, and session orphan recovery
+// Recovery processing (§4; the analysis scan, open and background drain
+// live in recovery_coordinator.cc): per-session replay, session orphan recovery
 // (replay from the latest checkpoint along the position stream, EOS cut at
-// the orphan log record, live continuation).
+// the orphan log record, live continuation), the recovery broadcasts that
+// trigger it, shared-variable undo along the backward write chain (§4.2),
+// and the orphan predicates.
 #include <algorithm>
 
 #include "audit/invariants.h"
@@ -35,17 +36,6 @@ std::vector<obs::RecoveryTimeline> Msp::RecentRecoveryTimelines(
 obs::OutageReport Msp::LastOutageReport() const {
   audit::LockGuard lk(timeline_mu_);
   return last_outage_report_;
-}
-
-Status Msp::CrashRecovery() {
-  // Thin wrapper over the phased coordinator (recovery_coordinator.h):
-  // analysis + open here, synchronously, so Start() can accept traffic the
-  // moment this returns; the per-session replay drain is kicked off by
-  // Start() after the mailbox is live (BeginBackgroundDrain) and raced by
-  // on-demand admissions (HandleRequestMsg).
-  recovery_coordinator_ = std::make_unique<RecoveryCoordinator>(this);
-  MSPLOG_RETURN_IF_ERROR(recovery_coordinator_->RunAnalysis());
-  return recovery_coordinator_->PrepareOpen();
 }
 
 void Msp::SessionRecoveryTask(std::shared_ptr<Session> s, bool on_demand) {
@@ -138,15 +128,15 @@ Status Msp::RecoverSessionReplay(Session* s, bool from_crash) {
     prov.msp_checkpoint_lsn = last_recovery_timeline_.msp_checkpoint_lsn;
     // Replace-or-append: a lazy orphan recovery updates its session's entry
     // rather than duplicating it.
-    bool replaced = false;
-    for (auto& p : last_recovery_timeline_.provenance) {
-      if (p.session_id == s->id) {
-        p = prov;
-        replaced = true;
-        break;
-      }
+    auto& all = last_recovery_timeline_.provenance;
+    auto it = std::find_if(all.begin(), all.end(), [&](const auto& p) {
+      return p.session_id == s->id;
+    });
+    if (it != all.end()) {
+      *it = prov;
+    } else {
+      all.push_back(prov);
     }
-    if (!replaced) last_recovery_timeline_.provenance.push_back(prov);
     // Resolve this session's fate in the outage report: the replay just
     // made it servable again. An EOS cut during this replay means its
     // in-flight work was orphaned; otherwise it replayed cleanly.
@@ -181,16 +171,13 @@ Status Msp::RecoverSessionReplay(Session* s, bool from_crash) {
     audit::LockGuard lk(sessions_mu_);
     s->recovering = false;
     s->replay_claimed = false;
-    if ((!s->pending_requests.empty() || s->needs_orphan_check ||
-         s->needs_checkpoint) &&
-        !s->worker_active) {
-      s->worker_active = true;
-      arm = true;
-    }
+    arm = (!s->pending_requests.empty() || s->needs_orphan_check ||
+           s->needs_checkpoint) &&
+          ArmWorkerLocked(s);
   }
   if (arm) {
     auto sp = GetSession(s->id);
-    if (sp) pool_->Submit([this, sp] { SessionWorker(sp); });
+    if (sp) SubmitWorker(std::move(sp));
   }
   return st;
 }
@@ -268,9 +255,7 @@ Status Msp::ReplayAlong(Session* s, ReplayCursor* cursor,
           std::to_string(rec.lsn));
     }
     cursor->Skip();
-    s->state_number = rec.lsn;
-    s->dv.Set(config_.id, StateId{epoch_.load(), rec.lsn});
-    if (rec.has_dv) MergeDv(s, rec.dv);
+    ReplaySessionRecord(s, rec);
     s->next_expected_seqno = rec.seqno;
     if (prov) prov->records.push_back({epoch_.load(), rec.seqno, rec.lsn});
 
@@ -314,6 +299,99 @@ void Msp::OrphanCut(Session* s, uint64_t orphan_lsn) {
                         "orphan_lsn=" + std::to_string(orphan_lsn));
   audit::LockGuard lk(timeline_mu_);
   ++last_recovery_timeline_.orphan_events;
+}
+
+Status Msp::UndoSharedVariable(SharedVariable* var) {
+  env_->stats().orphans_detected.fetch_add(1);
+  // Follow the backward chain of write records to the most recent
+  // non-orphan value (§4.2 — undo recovery). The chain breaks at
+  // shared-variable checkpoints, whose values are never orphans.
+  uint64_t lsn = var->last_write_lsn;
+  while (lsn != 0) {
+    LogRecord rec;
+    Status st = log_->ReadRecordAt(lsn, &rec);
+    if (!st.ok()) return st;
+    if (rec.type == LogRecordType::kSharedVarCheckpoint) {
+      var->RestoreLocked(std::move(rec.payload), DependencyVector(), lsn);
+      return Status::OK();
+    }
+    if (rec.type != LogRecordType::kSharedWrite) {
+      return Status::Corruption("write chain points at " +
+                                std::string(LogRecordTypeName(rec.type)));
+    }
+    if (!DvIsOrphan(rec.dv)) {
+      var->RestoreLocked(std::move(rec.payload), rec.dv, lsn);
+      return Status::OK();
+    }
+    lsn = rec.prev_lsn;
+  }
+  // Chain exhausted: every logged value was an orphan.
+  var->RestoreLocked(var->initial_value, DependencyVector(), 0);
+  return Status::OK();
+}
+
+void Msp::HandleRecoveryAnnounce(Message m) {
+  {
+    audit::LockGuard lk(table_mu_);
+    recovered_table_.Record(m.sender, m.rec_epoch, m.rec_sn);
+  }
+  if (log_) {
+    // Persist the knowledge (§3.1: "Other processes log and remember this
+    // recovered state number").
+    LogRecord rec;
+    rec.type = LogRecordType::kRecoveredState;
+    rec.peer = m.sender;
+    rec.peer_epoch = m.rec_epoch;
+    rec.peer_recovered_sn = m.rec_sn;
+    log_->Append(rec);
+  }
+  // §4.1: idle sessions are checked now; busy sessions at the next
+  // interception point (their worker picks the flag up between requests).
+  std::vector<std::shared_ptr<Session>> to_arm;
+  {
+    audit::LockGuard lk(sessions_mu_);
+    for (auto& [id, s] : sessions_) {
+      if (s->ended) continue;
+      s->needs_orphan_check = true;
+      if (ArmWorkerLocked(s.get())) to_arm.push_back(s);
+    }
+  }
+  for (auto& s : to_arm) SubmitWorker(std::move(s));
+}
+
+// ---------------------------------------------------------------------------
+// Orphan predicates
+// ---------------------------------------------------------------------------
+
+bool Msp::DvIsOrphan(const DependencyVector& dv) const {
+  audit::LockGuard lk(table_mu_);
+  return recovered_table_.IsOrphanDv(dv);
+}
+
+void Msp::PublishDv(const Session* s) const {
+  if (config_.per_session_dv) return;
+  audit::LockGuard lk(wide_dv_mu_);
+  s->published_dv = s->dv;
+}
+
+DependencyVector Msp::MspWideDv(const Session* self) const {
+  PublishDv(self);
+  DependencyVector all;
+  audit::LockGuard lk(sessions_mu_);
+  audit::LockGuard dlk(wide_dv_mu_);
+  for (const auto& [id, sess] : sessions_) {
+    if (!sess->ended) all.Merge(sess->published_dv);
+  }
+  return all;
+}
+
+bool Msp::SessionIsOrphan(const Session* s) const {
+  if (!config_.per_session_dv) {
+    // §3.2 strawman: one DV for the whole MSP — if ANY session carries an
+    // orphan dependency, every session is considered orphan and rolls back.
+    return DvIsOrphan(MspWideDv(s));
+  }
+  return DvIsOrphan(s->dv);
 }
 
 }  // namespace msplog

@@ -1,7 +1,6 @@
-// Phased crash recovery (§4.3, instant-restart variant). The analysis and
-// open phases here were carved out of the former monolithic
-// Msp::CrashRecovery; the background drain replaces the eager
-// replay-everything-before-traffic loop in Msp::Start.
+// Phased crash recovery (§4.3, instant-restart variant): a log-based
+// Msp::Start runs the analysis and open phases before it accepts traffic,
+// then starts the background drain.
 #include "msp/recovery_coordinator.h"
 
 #include <algorithm>
@@ -16,12 +15,6 @@
 #include "msp/msp_checkpoint_format.h"
 
 namespace msplog {
-
-namespace {
-std::string PosFileName(const std::string& msp, const std::string& session) {
-  return "pos/" + msp + "/" + session;
-}
-}  // namespace
 
 Status RecoveryCoordinator::RunAnalysis() {
   Msp* m = msp_;
@@ -75,8 +68,7 @@ Status RecoveryCoordinator::RunAnalysis() {
     }
     audit::LockGuard lk(m->sessions_mu_);
     for (const auto& e : data.sessions) {
-      auto s = std::make_shared<Session>(e.id, e.client, m->disk_,
-                                         PosFileName(m->config_.id, e.id));
+      auto s = m->NewSession(e.id, e.client);
       s->last_checkpoint_lsn.store(e.last_checkpoint_lsn);
       s->first_lsn.store(e.first_lsn);
       s->recovering = true;
@@ -112,8 +104,7 @@ Status RecoveryCoordinator::RunAnalysis() {
       }
       return it->second;
     }
-    auto s = std::make_shared<Session>(id, client, m->disk_,
-                                       PosFileName(m->config_.id, id));
+    auto s = m->NewSession(id, client);
     s->recovering = true;
     m->sessions_[id] = s;
     return s;
@@ -163,19 +154,13 @@ Status RecoveryCoordinator::RunAnalysis() {
         // Roll forward (§4.3): each write record carries the full value.
         auto v = m->GetOrCreateSharedVar(rec.var_id);
         audit::SharedUniqueLock vlk(v->rw);
-        v->value = rec.payload;
-        v->dv = rec.dv;
-        v->state_number = rec.lsn;
-        v->last_write_lsn = rec.lsn;
+        v->RestoreLocked(std::move(rec.payload), rec.dv, rec.lsn);
         break;
       }
       case LogRecordType::kSharedVarCheckpoint: {
         auto v = m->GetOrCreateSharedVar(rec.var_id);
         audit::SharedUniqueLock vlk(v->rw);
-        v->value = rec.payload;
-        v->dv.Clear();
-        v->state_number = rec.lsn;
-        v->last_write_lsn = rec.lsn;
+        v->RestoreLocked(std::move(rec.payload), DependencyVector(), rec.lsn);
         v->last_checkpoint_lsn = rec.lsn;
         break;
       }

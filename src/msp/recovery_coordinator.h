@@ -1,5 +1,5 @@
-// RecoveryCoordinator — the phased crash-recovery driver behind
-// Msp::CrashRecovery (§4.3, restructured for instant restart following the
+// RecoveryCoordinator — the phased crash recovery that a log-based
+// Msp::Start runs (§4.3, restructured for instant restart following the
 // on-demand REDO design of Sauer & Härder):
 //
 //   1. RunAnalysis()          — epoch bump persisted to the anchor, state

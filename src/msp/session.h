@@ -110,10 +110,6 @@ class Session {
   bool needs_checkpoint = false;
   bool ended = false;
 
-  /// Sequence numbers for baseline state-server RPCs. Deliberately volatile
-  /// and not part of the checkpointable state.
-  uint64_t volatile_rpc_seqno = 1;
-
   /// Orphan cuts (§4.1 EOS records) applied to this session since it was
   /// (re)created. Mutated only by the thread currently replaying the
   /// session; the outage join reads its own replay's delta to classify the
@@ -128,6 +124,21 @@ class Session {
   /// Nested calls made by the request currently executing; owner-thread
   /// only, folded into stats.OnRequestFanout at the request boundary.
   uint64_t calls_in_request = 0;
+
+  /// The outgoing session this session keeps with MSP `target`, created on
+  /// first use. Its id is deterministic, `<self_msp>/<session>><target>`, so
+  /// replay after a crash re-creates the same outgoing session and the
+  /// server-side session and its seqnos keep working.
+  OutgoingSessionState& OutgoingTo(const std::string& self_msp,
+                                   const std::string& target) {
+    OutgoingSessionState& o = outgoing[target];
+    if (o.session_id.empty()) {
+      o.target = target;
+      o.session_id = self_msp + "/" + id + ">" + target;
+      o.next_seqno = 1;
+    }
+    return o;
+  }
 
   // ---- hot-path encode caches (owner-thread only, like `dv` itself) ----
   /// Wire encoding of `dv`, re-encoded only when the DV actually changed

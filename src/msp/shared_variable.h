@@ -39,6 +39,16 @@ class SharedVariable {
   uint64_t last_checkpoint_lsn GUARDED_BY(rw) = 0;
   uint32_t writes_since_cp GUARDED_BY(rw) = 0;
   uint32_t msp_cps_since_cp GUARDED_BY(rw) = 0;
+
+  /// Make `v`, logged at `lsn` (0: the initial value) with dependency `d`,
+  /// the current value; the backward write chain continues from `lsn`.
+  void RestoreLocked(Bytes v, const DependencyVector& d, uint64_t lsn)
+      REQUIRES(rw) {
+    value = std::move(v);
+    dv.ReplaceWith(d);
+    state_number = lsn;
+    last_write_lsn = lsn;
+  }
 };
 
 }  // namespace msplog

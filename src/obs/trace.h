@@ -71,6 +71,11 @@ enum class TraceEventType : uint8_t {
 
 const char* TraceEventTypeName(TraceEventType t);
 
+/// Process-wide unique id for spans and traces. A plain atomic counter: the
+/// whole simulation runs in one process, and the determinism lint bans
+/// unseeded randomness anyway.
+uint64_t NextSpanId();
+
 /// Causal-tracing context carried alongside an event. trace_id identifies
 /// the whole client-rooted request tree; span_id the node this event belongs
 /// to; parent_span_id its parent in the tree. All zero = untraced.
@@ -80,12 +85,12 @@ struct SpanContext {
   uint64_t parent_span_id = 0;
 
   bool valid() const { return trace_id != 0; }
+  /// A fresh span under this one; invalid (untraced) when this one is.
+  SpanContext Child() const {
+    return valid() ? SpanContext{trace_id, NextSpanId(), span_id}
+                   : SpanContext{};
+  }
 };
-
-/// Process-wide unique id for spans and traces. A plain atomic counter: the
-/// whole simulation runs in one process, and the determinism lint bans
-/// unseeded randomness anyway.
-uint64_t NextSpanId();
 
 struct TraceEvent {
   TraceEventType type = TraceEventType::kEnqueue;

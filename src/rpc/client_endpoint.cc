@@ -45,13 +45,8 @@ Status ClientEndpoint::Call(ClientSession* session, const std::string& method,
   obs::SpanContext root;
   root.trace_id = obs::NextSpanId();
   root.span_id = root.trace_id;
-  Message req;
-  req.type = MessageType::kRequest;
-  req.sender = name_;
-  req.session_id = session->session_id;
-  req.seqno = seqno;
-  req.method = method;
-  req.payload = Bytes(arg);
+  Message req = Message::Request(name_, session->session_id, seqno, method,
+                                 Bytes(arg));
   req.trace_id = root.trace_id;
   req.parent_span_id = root.span_id;
 

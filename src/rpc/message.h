@@ -95,6 +95,29 @@ struct Message {
 
   Bytes Encode() const;
   static Status Decode(ByteView wire, Message* out);
+
+  /// A kRequest from `sender` for `method`, request `seqno` of `session_id`.
+  static Message Request(std::string sender, std::string session_id,
+                         uint64_t seqno, std::string method,
+                         Bytes payload = {}) {
+    Message m = Reply(std::move(sender), std::move(session_id), seqno,
+                      ReplyCode::kOk, std::move(payload));
+    m.type = MessageType::kRequest;
+    m.method = std::move(method);
+    return m;
+  }
+  /// A kReply from `sender` to request `seqno` of `session_id`.
+  static Message Reply(std::string sender, std::string session_id,
+                       uint64_t seqno, ReplyCode code, Bytes payload = {}) {
+    Message m;
+    m.type = MessageType::kReply;
+    m.sender = std::move(sender);
+    m.session_id = std::move(session_id);
+    m.seqno = seqno;
+    m.reply_code = code;
+    m.payload = std::move(payload);
+    return m;
+  }
 };
 
 }  // namespace msplog

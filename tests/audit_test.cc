@@ -19,6 +19,7 @@
 #include "sim/sim_disk.h"
 #include "sim/sim_env.h"
 #include "sim/sim_network.h"
+#include "msp_test_peer.h"
 
 // TSan ships its own lock-order-inversion detector, which (correctly) flags
 // the deliberate inversions these tests stage to exercise ours. Skip the
@@ -346,7 +347,7 @@ TEST_F(InvariantTest, InjectedDvRegressionTripsAuditorOnNextRequest) {
 
   // Simulate a dependency-dropping bug between requests; the next request's
   // entry check must see the session DV below its shadow and ring.
-  msp.InjectDvRegressionForTest(session.session_id);
+  MspTestPeer::InjectDvRegression(msp, session.session_id);
   ASSERT_TRUE(client.Call(&session, "echo", "two", &reply).ok());
   EXPECT_GE(audit::InvariantRegistry::Instance().violations("dv-monotonic"),
             1u);

@@ -77,6 +77,8 @@ TEST_F(BaselineTest, NoLogServesRequestsWithoutDiskWrites) {
 
 TEST_F(BaselineTest, NoLogLosesSessionStateOnCrash) {
   StartMsp(RecoveryMode::kNoLog);
+  // A baseline builds no log (and so no log writer thread).
+  EXPECT_EQ(msp_->log(), nullptr);
   ClientEndpoint client(&env_, &net_, "cli");
   auto session = client.StartSession("alpha");
   Bytes reply;
@@ -85,6 +87,7 @@ TEST_F(BaselineTest, NoLogLosesSessionStateOnCrash) {
   }
   msp_->Crash();
   ASSERT_TRUE(msp_->Start().ok());
+  EXPECT_EQ(msp_->log(), nullptr);
   // The count restarts: NoLog provides no recovery.
   ASSERT_TRUE(client.Call(&session, "counter", "", &reply).ok());
   EXPECT_EQ(reply, "1");
@@ -92,6 +95,8 @@ TEST_F(BaselineTest, NoLogLosesSessionStateOnCrash) {
 
 TEST_F(BaselineTest, PsessionPersistsSessionStateInDatabase) {
   StartMsp(RecoveryMode::kPsession);
+  // A baseline builds no log (and so no log writer thread).
+  EXPECT_EQ(msp_->log(), nullptr);
   ClientEndpoint client(&env_, &net_, "cli");
   auto session = client.StartSession("alpha");
   Bytes reply;
@@ -101,6 +106,7 @@ TEST_F(BaselineTest, PsessionPersistsSessionStateInDatabase) {
   }
   msp_->Crash();
   ASSERT_TRUE(msp_->Start().ok());
+  EXPECT_EQ(msp_->log(), nullptr);
   // Session state survives in the WAL-backed database.
   ASSERT_TRUE(client.Call(&session, "counter", "", &reply).ok());
   EXPECT_EQ(reply, "4");
@@ -136,6 +142,8 @@ TEST_F(BaselineTest, PsessionDedupesAcrossCrash) {
 
 TEST_F(BaselineTest, StateServerKeepsSessionAcrossMspCrash) {
   StartMsp(RecoveryMode::kStateServer);
+  // A baseline builds no log (and so no log writer thread).
+  EXPECT_EQ(msp_->log(), nullptr);
   ClientEndpoint client(&env_, &net_, "cli");
   auto session = client.StartSession("alpha");
   Bytes reply;
@@ -145,6 +153,7 @@ TEST_F(BaselineTest, StateServerKeepsSessionAcrossMspCrash) {
   EXPECT_EQ(ss_->StoredSessions(), 1u);
   msp_->Crash();
   ASSERT_TRUE(msp_->Start().ok());
+  EXPECT_EQ(msp_->log(), nullptr);
   ASSERT_TRUE(client.Call(&session, "counter", "", &reply).ok());
   EXPECT_EQ(reply, "4");  // state fetched back from the state server
 }

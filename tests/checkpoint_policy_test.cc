@@ -12,6 +12,7 @@
 #include "sim/sim_disk.h"
 #include "sim/sim_env.h"
 #include "sim/sim_network.h"
+#include "msp_test_peer.h"
 
 namespace msplog {
 namespace {
@@ -92,7 +93,8 @@ TEST_F(CheckpointPolicyTest, IdleSessionIsForceCheckpointed) {
   EXPECT_GE(env_.stats().checkpoints_session.load(), 1u);
   // The forced checkpoint advances the analysis-scan start: the position
   // stream is empty again.
-  EXPECT_TRUE(msp_->PeekPositionStream(session.session_id).empty());
+  EXPECT_TRUE(
+      MspTestPeer::PeekPositionStream(*msp_, session.session_id).empty());
 }
 
 TEST_F(CheckpointPolicyTest, UncheckpointedVariableIsCheckpointedByMspCp) {

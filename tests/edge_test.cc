@@ -15,6 +15,7 @@
 #include "sim/sim_disk.h"
 #include "sim/sim_env.h"
 #include "sim/sim_network.h"
+#include "msp_test_peer.h"
 
 namespace msplog {
 namespace {
@@ -214,7 +215,7 @@ TEST(ColdStartTest, StartCrashStartWithNoTrafficIsClean) {
   msp.Crash();
   ASSERT_TRUE(msp.Start().ok());
   EXPECT_EQ(msp.epoch(), 3u);
-  EXPECT_EQ(msp.SessionCount(), 0u);
+  EXPECT_EQ(MspTestPeer::SessionCount(msp), 0u);
   msp.Shutdown();
 }
 

@@ -18,6 +18,7 @@
 #include "sim/sim_disk.h"
 #include "sim/sim_env.h"
 #include "sim/sim_network.h"
+#include "msp_test_peer.h"
 
 namespace msplog {
 namespace {
@@ -249,8 +250,8 @@ TEST_F(FlushCoalesceTest, FailedFlightOrphansAllJoinedWaiters) {
   EXPECT_GE(env_.stats().orphans_detected.load() - orphans0,
             uint64_t(kClients));
   // Nothing left behind in the aggregator.
-  EXPECT_EQ(alpha_->PendingFlushLegsForTest(), 0u);
-  EXPECT_EQ(alpha_->InFlightFlushesForTest(), 0u);
+  EXPECT_EQ(MspTestPeer::PendingFlushLegs(*alpha_), 0u);
+  EXPECT_EQ(MspTestPeer::InFlightFlushes(*alpha_), 0u);
 }
 
 // Crashing the sender mid-flight must fail every waiter and leave no
@@ -287,8 +288,8 @@ TEST_F(FlushCoalesceTest, CrashMidFlightLeavesNoPendingLegs) {
   gate_.store(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   alpha_->Crash();
-  EXPECT_EQ(alpha_->PendingFlushLegsForTest(), 0u);
-  EXPECT_EQ(alpha_->InFlightFlushesForTest(), 0u);
+  EXPECT_EQ(MspTestPeer::PendingFlushLegs(*alpha_), 0u);
+  EXPECT_EQ(MspTestPeer::InFlightFlushes(*alpha_), 0u);
   // Restart both; the clients' resends replay their sessions to completion
   // exactly-once.
   ASSERT_TRUE(beta_->Start().ok());
@@ -298,8 +299,8 @@ TEST_F(FlushCoalesceTest, CrashMidFlightLeavesNoPendingLegs) {
     ASSERT_TRUE(statuses[c].ok()) << statuses[c].ToString();
     EXPECT_EQ(replies[c], "1") << "session " << c;
   }
-  EXPECT_EQ(alpha_->PendingFlushLegsForTest(), 0u);
-  EXPECT_EQ(alpha_->InFlightFlushesForTest(), 0u);
+  EXPECT_EQ(MspTestPeer::PendingFlushLegs(*alpha_), 0u);
+  EXPECT_EQ(MspTestPeer::InFlightFlushes(*alpha_), 0u);
 }
 
 }  // namespace

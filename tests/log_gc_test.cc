@@ -11,6 +11,7 @@
 #include "sim/sim_disk.h"
 #include "sim/sim_env.h"
 #include "sim/sim_network.h"
+#include "msp_test_peer.h"
 
 namespace msplog {
 namespace {
@@ -148,7 +149,7 @@ TEST_F(MspGcTest, CheckpointDrivenReclamationKeepsRecoveryCorrect) {
   EXPECT_EQ(*v, "40");
   ASSERT_TRUE(client.Call(&session, "add", "2", &reply).ok());
   EXPECT_EQ(reply, "42");
-  auto mine = msp_->PeekSessionVar(session.session_id, "mine");
+  auto mine = MspTestPeer::PeekSessionVar(*msp_, session.session_id, "mine");
   ASSERT_TRUE(mine.ok());
   EXPECT_EQ(*mine, "42");
 }

@@ -11,6 +11,7 @@
 #include "sim/sim_disk.h"
 #include "sim/sim_env.h"
 #include "sim/sim_network.h"
+#include "msp_test_peer.h"
 
 namespace msplog {
 namespace {
@@ -217,7 +218,7 @@ TEST_F(MspBasicTest, DuplicateRequestGetsBufferedReplyNotReexecution) {
   session.next_seqno = 1;
   ASSERT_TRUE(client.Call(&session, "counter", "", &reply).ok());
   EXPECT_EQ(reply, "1");
-  auto v = alpha_->PeekSessionVar(session.session_id, "n");
+  auto v = MspTestPeer::PeekSessionVar(*alpha_, session.session_id, "n");
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, "1");
 }
@@ -345,7 +346,7 @@ TEST_F(MspBasicTest, ReplyToEndClientIsFlushedFirst) {
   // Everything the session logged must be durable: end clients are outside
   // every service domain, so the reply leg is pessimistic (§3.1).
   EXPECT_GE(alpha_->log()->durable_lsn(), 1u);
-  auto positions = alpha_->PeekPositionStream(session.session_id);
+  auto positions = MspTestPeer::PeekPositionStream(*alpha_, session.session_id);
   ASSERT_FALSE(positions.empty());
   EXPECT_LT(positions.back(), alpha_->log()->durable_lsn());
 }
@@ -375,11 +376,11 @@ TEST_F(MspBasicTest, EndSessionCascadesToOutgoingSessions) {
   Bytes reply;
   ASSERT_TRUE(client.Call(&session, "relay", "beta|echo|x", &reply).ok());
   const std::string out_id = "alpha/" + session.session_id + ">beta";
-  EXPECT_TRUE(beta_->HasSession(out_id));
+  EXPECT_TRUE(MspTestPeer::HasSession(*beta_, out_id));
   ASSERT_TRUE(client.Call(&session, "__end_session", "", &reply).ok());
   // The outgoing session at beta ended with it (§2.1: sessions are started
   // and ended by client requests — alpha is beta's client here).
-  auto seq = beta_->PeekNextExpectedSeqno(out_id);
+  auto seq = MspTestPeer::PeekNextExpectedSeqno(*beta_, out_id);
   // Either fully removed by a later recovery or marked ended; a fresh call
   // on it must fail definitively.
   ClientEndpoint probe(&env_, &net_, "probe");
@@ -401,9 +402,11 @@ TEST_F(MspBasicTest, SessionCheckpointTruncatesPositionStream) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(client.Call(&session, "counter", "", &reply).ok());
   }
-  EXPECT_GE(alpha_->PeekPositionStream(session.session_id).size(), 5u);
+  EXPECT_GE(
+      MspTestPeer::PeekPositionStream(*alpha_, session.session_id).size(), 5u);
   ASSERT_TRUE(alpha_->ForceCheckpoint(CheckpointTarget::Session(session.session_id)).ok());
-  EXPECT_TRUE(alpha_->PeekPositionStream(session.session_id).empty());
+  EXPECT_TRUE(
+      MspTestPeer::PeekPositionStream(*alpha_, session.session_id).empty());
   // Service continues normally after the checkpoint.
   ASSERT_TRUE(client.Call(&session, "counter", "", &reply).ok());
   EXPECT_EQ(reply, "6");

@@ -15,6 +15,7 @@
 #include "sim/sim_disk.h"
 #include "sim/sim_env.h"
 #include "sim/sim_network.h"
+#include "msp_test_peer.h"
 
 namespace msplog {
 namespace {
@@ -302,7 +303,7 @@ TEST_F(MspRecoveryTest, RepeatedCrashesConverge) {
 
 TEST_F(MspRecoveryTest, FreshStartHasNothingToRecover) {
   StartMsp(BaseConfig());
-  EXPECT_EQ(msp_->SessionCount(), 0u);
+  EXPECT_EQ(MspTestPeer::SessionCount(*msp_), 0u);
   EXPECT_EQ(msp_->epoch(), 1u);
   EXPECT_EQ(env_.stats().requests_replayed.load(), 0u);
 }
@@ -315,7 +316,7 @@ TEST_F(MspRecoveryTest, EndedSessionsAreNotResurrected) {
   ASSERT_TRUE(client.Call(&session, "counter", "", &reply).ok());
   ASSERT_TRUE(client.Call(&session, "__end_session", "", &reply).ok());
   CrashAndRestart();
-  EXPECT_FALSE(msp_->HasSession(session.session_id));
+  EXPECT_FALSE(MspTestPeer::HasSession(*msp_, session.session_id));
 }
 
 TEST_F(MspRecoveryTest, RequestsDuringRecoveryEventuallyServed) {

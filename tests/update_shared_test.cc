@@ -11,6 +11,7 @@
 #include "sim/sim_disk.h"
 #include "sim/sim_env.h"
 #include "sim/sim_network.h"
+#include "msp_test_peer.h"
 
 namespace msplog {
 namespace {
@@ -126,10 +127,12 @@ TEST_F(UpdateSharedTest, ReplayReappliesFnToLoggedValue) {
   ASSERT_TRUE(msp_->Start().ok());
   // Session replay re-derived the same "seen" value.
   for (int spin = 0; spin < 200; ++spin) {
-    if (msp_->PeekSessionVar(session.session_id, "seen").ok()) break;
+    if (MspTestPeer::PeekSessionVar(*msp_, session.session_id, "seen").ok()) {
+      break;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  auto seen = msp_->PeekSessionVar(session.session_id, "seen");
+  auto seen = MspTestPeer::PeekSessionVar(*msp_, session.session_id, "seen");
   ASSERT_TRUE(seen.ok());
   EXPECT_EQ(*seen, "5");
   EXPECT_EQ(*msp_->PeekSharedValue("counter"), "5");
